@@ -1,12 +1,15 @@
 //! The serialized optimal-threshold table: rows of certified
-//! enclosures and their `threshold-table/v1` JSON form.
+//! enclosures and their `threshold-table/v1` JSON form, with its one
+//! writer ([`ThresholdTable::to_json`]) and its one reader
+//! ([`ThresholdTable::from_json`]).
 //!
-//! Serialization is deliberately dependency-free and deterministic:
-//! endpoints are printed with Rust's shortest-round-trip `f64`
-//! formatting, so re-parsing any emitted number recovers the exact
-//! bit pattern and regenerating an unchanged table is byte-identical.
+//! Serialization is deterministic: endpoints are printed with Rust's
+//! shortest-round-trip `f64` formatting, so re-parsing any emitted
+//! number recovers the exact bit pattern and regenerating an
+//! unchanged table is byte-identical.
 
 use super::CertifiedThreshold;
+use json::Json;
 use std::fmt::Write as _;
 
 /// Schema tag of the serialized table.
@@ -100,6 +103,62 @@ impl ThresholdTable {
         out.push_str("  ]\n}\n");
         out
     }
+
+    /// Parses a `threshold-table/v1` document, the inverse of
+    /// [`ThresholdTable::to_json`]: endpoints arrive bit-exactly.
+    /// Only the schema is checked here; the certified invariants
+    /// (contiguous `n`, tight enclosures) are `cargo xtask
+    /// table-check`'s job.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message on malformed JSON, a wrong schema or capacity
+    /// rule, or a row with a missing or mistyped field or an unknown
+    /// method.
+    pub fn from_json(text: &str) -> Result<ThresholdTable, String> {
+        let root = json::parse(text)?;
+        let fields = root.fields("table")?;
+        let schema = json::field(fields, "schema", "table")?.str("schema")?;
+        if schema != SCHEMA {
+            return Err(format!(
+                "unsupported table schema {schema:?} (expected {SCHEMA:?})"
+            ));
+        }
+        let rule = json::field(fields, "delta_rule", "table")?.str("delta_rule")?;
+        if rule != DELTA_RULE {
+            return Err(format!(
+                "unsupported capacity rule {rule:?} in delta_rule (expected {DELTA_RULE:?})"
+            ));
+        }
+        let rows = json::field(fields, "rows", "table")?.items("rows")?;
+        let rows = rows
+            .iter()
+            .enumerate()
+            .map(parse_row)
+            .collect::<Result<_, _>>()?;
+        Ok(ThresholdTable::new(rows))
+    }
+}
+
+/// Reads row `i` of a `threshold-table/v1` document.
+fn parse_row((i, item): (usize, &Json<'_>)) -> Result<ThresholdRow, String> {
+    let what = format!("rows[{i}]");
+    let row = item.fields(&what)?;
+    let get = |key: &str| json::field(row, key, &what);
+    let n = u32::try_from(get("n")?.u64("n")?).map_err(|_| format!("{what}: n out of range"))?;
+    let method = match get("method")?.str("method")? {
+        "exact" => "exact",
+        "ball" => "ball",
+        other => return Err(format!("{what}: unknown method {other:?}")),
+    };
+    Ok(ThresholdRow {
+        n,
+        beta_lo: get("beta_lo")?.f64("beta_lo")?,
+        beta_hi: get("beta_hi")?.f64("beta_hi")?,
+        p_lo: get("p_lo")?.f64("p_lo")?,
+        p_hi: get("p_hi")?.f64("p_hi")?,
+        method,
+    })
 }
 
 /// JSON number formatting for an `f64`: Rust's shortest round-trip
@@ -151,6 +210,29 @@ mod tests {
         assert!(json.contains("\"n\": 2, \"method\": \"exact\""));
         assert!(json.contains("\"n\": 3, \"method\": \"ball\""));
         assert!(json.ends_with("]\n}\n"));
+    }
+
+    #[test]
+    fn json_round_trips_bit_exactly() {
+        let certified = crate::certified::build_table(4).unwrap();
+        assert_eq!(
+            ThresholdTable::from_json(&certified.to_json()).unwrap(),
+            certified
+        );
+        let table = sample();
+        assert_eq!(ThresholdTable::from_json(&table.to_json()).unwrap(), table);
+        assert!(ThresholdTable::from_json("{}").is_err());
+        let wrong_schema = table
+            .to_json()
+            .replace("threshold-table/v1", "threshold-table/v9");
+        let err = ThresholdTable::from_json(&wrong_schema).unwrap_err();
+        assert!(err.contains("schema"), "{err}");
+        let wrong_rule = table.to_json().replace("\"n/3\"", "\"n/2\"");
+        let err = ThresholdTable::from_json(&wrong_rule).unwrap_err();
+        assert!(err.contains("capacity rule"), "{err}");
+        let bad_method = table.to_json().replace("\"ball\"", "\"guessed\"");
+        let err = ThresholdTable::from_json(&bad_method).unwrap_err();
+        assert!(err.contains("rows[1]: unknown method"), "{err}");
     }
 
     #[test]

@@ -24,8 +24,7 @@
 //! is held while a (possibly expensive) evaluation runs.
 
 use crate::query::{CacheStatus, RuleFamily, RuleSpec};
-use crate::wire;
-use decision::certified::{ThresholdRow, ThresholdTable, SCHEMA as TABLE_SCHEMA};
+use decision::certified::{ThresholdRow, ThresholdTable};
 use decision::numeric::{self, NumericOptimum, SearchOptions};
 use decision::{
     winning_probability_threshold_in, ModelError, ObliviousAlgorithm, SingleThresholdAlgorithm,
@@ -243,53 +242,14 @@ impl AnalyticCache {
 
 /// Parses a `threshold-table/v1` JSON document (the artifact written
 /// by `cargo xtask table`) into the in-memory table the daemon
-/// serves. Endpoints arrive bit-exactly: the document's shortest
-/// round-trip number tokens recover the generator's `f64` values.
+/// serves; see [`ThresholdTable::from_json`].
 ///
 /// # Errors
 ///
 /// Returns a message on malformed JSON, a wrong schema or capacity
 /// rule, or a structurally invalid row.
 pub fn load_threshold_table(text: &str) -> Result<ThresholdTable, String> {
-    let value = wire::parse(text)?;
-    let fields = value.fields("table")?;
-    let schema = wire::field(fields, "schema", "table")?.str("schema")?;
-    if schema != TABLE_SCHEMA {
-        return Err(format!(
-            "unsupported table schema {schema:?} (this daemon serves {TABLE_SCHEMA:?})"
-        ));
-    }
-    let rule = wire::field(fields, "delta_rule", "table")?.str("delta_rule")?;
-    if rule != "n/3" {
-        return Err(format!(
-            "unsupported capacity rule {rule:?} (expected \"n/3\")"
-        ));
-    }
-    let mut rows = Vec::new();
-    for (i, item) in wire::field(fields, "rows", "table")?
-        .items("rows")?
-        .iter()
-        .enumerate()
-    {
-        let what = format!("rows[{i}]");
-        let row = item.fields(&what)?;
-        let n = u32::try_from(wire::field(row, "n", &what)?.u64("n")?)
-            .map_err(|_| format!("{what}: n out of range"))?;
-        let method = match wire::field(row, "method", &what)?.str("method")? {
-            "exact" => "exact",
-            "ball" => "ball",
-            other => return Err(format!("{what}: unknown method {other:?}")),
-        };
-        rows.push(ThresholdRow {
-            n,
-            beta_lo: wire::field(row, "beta_lo", &what)?.f64("beta_lo")?,
-            beta_hi: wire::field(row, "beta_hi", &what)?.f64("beta_hi")?,
-            p_lo: wire::field(row, "p_lo", &what)?.f64("p_lo")?,
-            p_hi: wire::field(row, "p_hi", &what)?.f64("p_hi")?,
-            method,
-        });
-    }
-    Ok(ThresholdTable::new(rows))
+    ThresholdTable::from_json(text)
 }
 
 impl Entry {
@@ -391,24 +351,6 @@ mod tests {
         // Off-table asks are refused, not fabricated.
         assert!(cache.threshold(5, &table).is_none());
         assert!(cache.threshold(0, &table).is_none());
-    }
-
-    #[test]
-    fn threshold_table_round_trips_through_the_wire_loader() {
-        let table = decision::certified::build_table(4).unwrap();
-        let back = load_threshold_table(&table.to_json()).unwrap();
-        assert_eq!(back, table);
-        assert!(load_threshold_table("{}").is_err());
-        let wrong_schema = table
-            .to_json()
-            .replace("threshold-table/v1", "threshold-table/v9");
-        assert!(load_threshold_table(&wrong_schema)
-            .unwrap_err()
-            .contains("schema"));
-        let wrong_rule = table.to_json().replace("\"n/3\"", "\"n/2\"");
-        assert!(load_threshold_table(&wrong_rule)
-            .unwrap_err()
-            .contains("capacity rule"));
     }
 
     #[test]

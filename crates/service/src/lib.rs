@@ -4,8 +4,10 @@
 //! Everything below the wire is the existing workspace — this crate
 //! adds the *serving* layers:
 //!
-//! * [`wire`] — a zero-dependency, hand-rolled JSON subset
-//!   (newline-delimited documents, bit-exact float round-trips);
+//! * [`wire`] — the workspace's `json` crate, re-exported: the one
+//!   parser and writer every artifact shares (newline-delimited
+//!   documents, bit-exact float round-trips); the server caps each
+//!   request line at [`server::MAX_REQUEST_BYTES`];
 //! * [`query`] — the typed protocol (`nocomm-service/v1`): requests
 //!   `pwin`, `optimal`, `sweep`, `sweep_mc`, `shards`, `threshold`,
 //!   `simulate`, `shutdown`, and responses that carry an
@@ -69,7 +71,7 @@ pub mod client;
 pub mod metrics;
 pub mod query;
 pub mod server;
-pub mod wire;
+pub use json as wire;
 
 pub use cache::{load_threshold_table, AnalyticCache};
 pub use client::Client;

@@ -118,7 +118,7 @@ impl RuleSpec {
         }
     }
 
-    fn from_json(value: &Json) -> Result<RuleSpec, String> {
+    fn from_json(value: &Json<'_>) -> Result<RuleSpec, String> {
         let fields = value.fields("rule")?;
         let family = RuleFamily::parse(wire::field(fields, "family", "rule")?.str("rule.family")?)?;
         let mut params = Vec::new();
@@ -468,7 +468,7 @@ impl MetricsFrame {
         out.push('}');
     }
 
-    fn from_json(value: &Json) -> Result<MetricsFrame, String> {
+    fn from_json(value: &Json<'_>) -> Result<MetricsFrame, String> {
         let fields = value.fields("metrics")?;
         let get =
             |key: &str| -> Result<u64, String> { wire::field(fields, key, "metrics")?.u64(key) };

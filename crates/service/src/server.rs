@@ -26,7 +26,7 @@ use decision::certified::ThresholdTable;
 use decision::LocalRule;
 use orchestrator::{run_sweep_with_metrics, OrchestratorConfig, WorkerSpec};
 use simulator::{Simulation, SweepCheckpoint};
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -114,6 +114,16 @@ impl Shared {
 
     fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// An `ok: false` response to a request that could not be read
+    /// or parsed, so it has no correlation id.
+    fn error_response(&self, message: String) -> Response {
+        Response {
+            id: 0,
+            outcome: Err(message),
+            metrics: self.metrics.frame(),
+        }
     }
 
     /// Answers one parsed request. Query-level failures (bad
@@ -450,8 +460,16 @@ fn accept_loop(
     }
 }
 
+/// The longest request line a connection may send, newline included.
+/// The bytes a connection has buffered toward its current line count
+/// against this across poll ticks, so a peer that never sends a
+/// newline cannot grow the daemon's memory without bound: it gets an
+/// error response and is disconnected.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+
 /// Serves one connection: one JSON request per line, one JSON
-/// response per line, until EOF, a transport error, or shutdown.
+/// response per line, until EOF, a transport error, an oversized
+/// request, or shutdown.
 fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
     // The poll timeout bounds how long an *idle* connection can delay
     // a drain; a request already being served always completes.
@@ -465,27 +483,32 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
         return;
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    // Raw bytes, decoded once the line is complete: a poll tick or the
+    // size cap can fall inside a multi-byte character.
+    let mut line = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
+        let room = MAX_REQUEST_BYTES.saturating_sub(line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
+            Ok(_) if line.len() >= MAX_REQUEST_BYTES && line.last() != Some(&b'\n') => {
+                let error = format!("request line exceeds {MAX_REQUEST_BYTES} bytes");
+                send(&mut writer, &shared.error_response(error));
+                return; // the rest of the line is never read
+            }
             Ok(0) => return, // EOF
             Ok(_) => {
-                if line.trim().is_empty() {
-                    line.clear();
-                    continue;
-                }
-                let response = match Envelope::parse(&line) {
-                    Ok(envelope) => shared.answer(&envelope),
-                    Err(message) => Response {
-                        id: 0,
-                        outcome: Err(message),
-                        metrics: shared.metrics.frame(),
+                let response = match std::str::from_utf8(&line) {
+                    Ok(text) if text.trim().is_empty() => {
+                        line.clear();
+                        continue;
+                    }
+                    Ok(text) => match Envelope::parse(text) {
+                        Ok(envelope) => shared.answer(&envelope),
+                        Err(message) => shared.error_response(message),
                     },
+                    Err(e) => shared.error_response(format!("request line is not UTF-8: {e}")),
                 };
                 line.clear();
-                let mut payload = response.to_json();
-                payload.push('\n');
-                if writer.write_all(payload.as_bytes()).is_err() || writer.flush().is_err() {
+                if !send(&mut writer, &response) {
                     return; // client went away mid-response
                 }
                 if matches!(response.outcome, Ok(Outcome::ShuttingDown)) {
@@ -504,4 +527,11 @@ fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
             Err(_) => return,
         }
     }
+}
+
+/// Writes one response line; `false` when the client has gone away.
+fn send(writer: &mut TcpStream, response: &Response) -> bool {
+    let mut payload = response.to_json();
+    payload.push('\n');
+    writer.write_all(payload.as_bytes()).is_ok() && writer.flush().is_ok()
 }

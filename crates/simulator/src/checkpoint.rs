@@ -29,17 +29,35 @@
 //! reads as a valid digit (invisible to the structural checks) is
 //! still caught.
 //!
-//! The parser is hand-rolled (like `xtask::metrics`; this workspace
-//! vendors no serde) and accepts exactly the subset of JSON the writer
-//! emits: one object of string fields, integer fields, and one array
-//! of `{"k": …, "wins": …}` objects.
+//! Documents are read with the workspace's one JSON parser
+//! ([`json::parse`]) and then walked field by field: unknown or
+//! duplicate fields, a wrong schema tag, out-of-range integers, a
+//! non-contiguous run of point indices and a `crc` mismatch are each
+//! a [`SweepError::Corrupt`]. Documents from writers that predate the
+//! `crc` field are still accepted.
 
 use crate::{SimulationReport, SweepError, SweepPoint};
+use json::{Field, Json};
 use rational::Rational;
 use std::path::{Path, PathBuf};
 
 /// The schema tag every checkpoint document carries.
 pub const SWEEP_CHECKPOINT_SCHEMA: &str = "sweep-checkpoint/v1";
+
+/// The fields a checkpoint document may carry (`shard` and `crc` are
+/// optional).
+const DOCUMENT_FIELDS: &[&str] = &[
+    "schema",
+    "rng_stream_version",
+    "n",
+    "delta",
+    "grid",
+    "trials",
+    "seed",
+    "shard",
+    "crc",
+    "points",
+];
 
 /// The persistent state of a (possibly incomplete) threshold sweep:
 /// its full parameter set plus the win counts of the completed prefix
@@ -198,15 +216,83 @@ impl SweepCheckpoint {
     /// # Errors
     ///
     /// Returns [`SweepError::Corrupt`] for malformed JSON, a wrong
-    /// schema tag, missing fields, out-of-range values (`wins` above
-    /// `trials`, more points than the grid holds), or non-contiguous
-    /// point indices.
+    /// schema tag, missing, unknown or duplicated fields, out-of-range
+    /// values (`wins` above `trials`, more points than the grid holds,
+    /// integers outside their field's type), point indices that are
+    /// not a contiguous run from the shard start, or a `crc` the
+    /// contents do not hash to.
     pub fn parse(text: &str) -> Result<SweepCheckpoint, SweepError> {
-        let mut cursor = Cursor::new(text);
-        let doc = cursor.parse_document()?;
-        cursor.require_end()?;
-        doc.validate_structure()?;
-        Ok(doc)
+        let root = json::parse(text).map_err(corrupt)?;
+        let doc = object(&root, "checkpoint", DOCUMENT_FIELDS)?;
+        let schema = need(doc, "schema", "checkpoint")?
+            .str("schema")
+            .map_err(corrupt)?;
+        if schema != SWEEP_CHECKPOINT_SCHEMA {
+            return Err(corrupt(format!("unsupported schema \"{schema}\"")));
+        }
+        let delta = need(doc, "delta", "checkpoint")?
+            .str("delta")
+            .map_err(corrupt)?
+            .parse::<f64>()
+            .map_err(|_| corrupt("unparsable \"delta\""))?;
+        let grid: usize = int(doc, "grid", "checkpoint")?;
+        let grid_points = grid
+            .checked_add(1)
+            .ok_or_else(|| corrupt("grid out of range"))?;
+        let (shard_start, shard_points): (usize, usize) = match json::field_opt(doc, "shard") {
+            Some(shard) => {
+                let shard = object(shard, "shard", &["start", "points"])?;
+                (
+                    int(shard, "start", "shard")?,
+                    int(shard, "points", "shard")?,
+                )
+            }
+            None => (0, grid_points),
+        };
+        let points = need(doc, "points", "checkpoint")?
+            .items("points")
+            .map_err(corrupt)?;
+        let mut wins = Vec::with_capacity(points.len());
+        for (i, point) in points.iter().enumerate() {
+            let point = object(point, "point", &["k", "wins"])?;
+            let k: usize = int(point, "k", "point")?;
+            let expected = shard_start
+                .checked_add(i)
+                .ok_or_else(|| corrupt("point index out of range"))?;
+            if k != expected {
+                return Err(corrupt(if i == 0 {
+                    format!("points must start at the shard start {shard_start}, found k = {k}")
+                } else {
+                    format!("points must be a contiguous run: expected k = {expected}, found {k}")
+                }));
+            }
+            wins.push(int(point, "wins", "point")?);
+        }
+        let doc_crc = json::field_opt(doc, "crc")
+            .map(|crc| crc.u64("crc"))
+            .transpose()
+            .map_err(corrupt)?;
+        let parsed = SweepCheckpoint {
+            rng_stream_version: int(doc, "rng_stream_version", "checkpoint")?,
+            n: int(doc, "n", "checkpoint")?,
+            delta,
+            grid,
+            trials: int(doc, "trials", "checkpoint")?,
+            seed: int(doc, "seed", "checkpoint")?,
+            shard_start,
+            shard_points,
+            wins,
+        };
+        if let Some(expected) = doc_crc {
+            let found = parsed.checksum();
+            if found != expected {
+                return Err(corrupt(format!(
+                    "checksum mismatch: document says {expected}, contents hash to {found}"
+                )));
+            }
+        }
+        parsed.validate_structure()?;
+        Ok(parsed)
     }
 
     /// Reads and parses the checkpoint at `path`.
@@ -402,295 +488,36 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// A byte cursor over the checkpoint grammar.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// The fields of the object `value`, rejecting any key outside
+/// `allowed`; `what` names the object in errors.
+fn object<'f, 'a>(
+    value: &'f Json<'a>,
+    what: &str,
+    allowed: &[&str],
+) -> Result<&'f [Field<'a>], SweepError> {
+    let fields = value.fields(what).map_err(corrupt)?;
+    match fields
+        .iter()
+        .find(|(key, _)| !allowed.contains(&key.as_ref()))
+    {
+        Some((key, _)) => Err(corrupt(format!("unknown {what} field \"{key}\""))),
+        None => Ok(fields),
+    }
 }
 
-impl<'a> Cursor<'a> {
-    fn new(text: &'a str) -> Cursor<'a> {
-        Cursor {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
+/// The required field `key` of the object `within`.
+fn need<'f, 'a>(
+    fields: &'f [Field<'a>],
+    key: &str,
+    within: &str,
+) -> Result<&'f Json<'a>, SweepError> {
+    json::field(fields, key, within).map_err(corrupt)
+}
 
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(u8::is_ascii_whitespace)
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    /// Consumes `byte` if it is next (after whitespace).
-    fn eat(&mut self, byte: u8) -> bool {
-        if self.peek() == Some(byte) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn require(&mut self, byte: u8) -> Result<(), SweepError> {
-        if self.eat(byte) {
-            Ok(())
-        } else {
-            Err(corrupt(format!(
-                "expected '{}' at byte {}",
-                char::from(byte),
-                self.pos
-            )))
-        }
-    }
-
-    fn require_end(&mut self) -> Result<(), SweepError> {
-        if self.peek().is_none() {
-            Ok(())
-        } else {
-            Err(corrupt("trailing content after the document"))
-        }
-    }
-
-    /// A quoted string; escapes are rejected (the writer never emits
-    /// them).
-    fn parse_string(&mut self) -> Result<String, SweepError> {
-        self.require(b'"')?;
-        let start = self.pos;
-        loop {
-            match self.bytes.get(self.pos) {
-                Some(b'"') => break,
-                Some(b'\\') => return Err(corrupt("escape sequences are not supported")),
-                Some(_) => self.pos += 1,
-                None => return Err(corrupt("unterminated string")),
-            }
-        }
-        let raw = &self.bytes[start..self.pos];
-        self.pos += 1;
-        String::from_utf8(raw.to_vec()).map_err(|_| corrupt("non-UTF-8 string"))
-    }
-
-    /// A non-negative integer.
-    fn parse_u64(&mut self) -> Result<u64, SweepError> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(corrupt(format!("expected a number at byte {start}")));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| corrupt("number out of range"))
-    }
-
-    /// The `[{"k": …, "wins": …}, …]` array, enforcing contiguous
-    /// ascending `k`. Returns the first index (when any) alongside the
-    /// counts so the caller can check it against the shard start.
-    fn parse_points(&mut self) -> Result<(Option<u64>, Vec<u64>), SweepError> {
-        self.require(b'[')?;
-        let mut first = None;
-        let mut wins: Vec<u64> = Vec::new();
-        if self.eat(b']') {
-            return Ok((first, wins));
-        }
-        loop {
-            self.require(b'{')?;
-            let mut k = None;
-            let mut won = None;
-            loop {
-                match self.parse_string()?.as_str() {
-                    "k" => {
-                        self.require(b':')?;
-                        k = Some(self.parse_u64()?);
-                    }
-                    "wins" => {
-                        self.require(b':')?;
-                        won = Some(self.parse_u64()?);
-                    }
-                    other => return Err(corrupt(format!("unknown point field \"{other}\""))),
-                }
-                if !self.eat(b',') {
-                    break;
-                }
-            }
-            self.require(b'}')?;
-            let (Some(k), Some(won)) = (k, won) else {
-                return Err(corrupt("a point needs both \"k\" and \"wins\""));
-            };
-            let start = *first.get_or_insert(k);
-            let expected = start
-                .checked_add(wins.len() as u64)
-                .ok_or_else(|| corrupt("point index out of range"))?;
-            if k != expected {
-                return Err(corrupt(format!(
-                    "points must be a contiguous run: expected k = {expected}, found {k}"
-                )));
-            }
-            wins.push(won);
-            if !self.eat(b',') {
-                break;
-            }
-        }
-        self.require(b']')?;
-        Ok((first, wins))
-    }
-
-    /// The `{"start": …, "points": …}` shard object.
-    fn parse_shard(&mut self) -> Result<(u64, u64), SweepError> {
-        self.require(b'{')?;
-        let mut start = None;
-        let mut points = None;
-        loop {
-            match self.parse_string()?.as_str() {
-                "start" => {
-                    self.require(b':')?;
-                    start = Some(self.parse_u64()?);
-                }
-                "points" => {
-                    self.require(b':')?;
-                    points = Some(self.parse_u64()?);
-                }
-                other => return Err(corrupt(format!("unknown shard field \"{other}\""))),
-            }
-            if !self.eat(b',') {
-                break;
-            }
-        }
-        self.require(b'}')?;
-        match (start, points) {
-            (Some(start), Some(points)) => Ok((start, points)),
-            _ => Err(corrupt("a shard needs both \"start\" and \"points\"")),
-        }
-    }
-
-    /// The top-level checkpoint object.
-    #[allow(clippy::too_many_lines)] // one match arm per schema field; the flow reads top to bottom
-    fn parse_document(&mut self) -> Result<SweepCheckpoint, SweepError> {
-        self.require(b'{')?;
-        let mut schema = None;
-        let mut version = None;
-        let mut n = None;
-        let mut delta = None;
-        let mut grid = None;
-        let mut trials = None;
-        let mut seed = None;
-        let mut shard = None;
-        let mut crc = None;
-        let mut points = None;
-        loop {
-            match self.parse_string()?.as_str() {
-                "schema" => {
-                    self.require(b':')?;
-                    schema = Some(self.parse_string()?);
-                }
-                "rng_stream_version" => {
-                    self.require(b':')?;
-                    version = Some(self.parse_u64()?);
-                }
-                "n" => {
-                    self.require(b':')?;
-                    n = Some(self.parse_u64()?);
-                }
-                "delta" => {
-                    self.require(b':')?;
-                    delta = Some(self.parse_string()?);
-                }
-                "grid" => {
-                    self.require(b':')?;
-                    grid = Some(self.parse_u64()?);
-                }
-                "trials" => {
-                    self.require(b':')?;
-                    trials = Some(self.parse_u64()?);
-                }
-                "seed" => {
-                    self.require(b':')?;
-                    seed = Some(self.parse_u64()?);
-                }
-                "shard" => {
-                    self.require(b':')?;
-                    shard = Some(self.parse_shard()?);
-                }
-                "crc" => {
-                    self.require(b':')?;
-                    crc = Some(self.parse_u64()?);
-                }
-                "points" => {
-                    self.require(b':')?;
-                    points = Some(self.parse_points()?);
-                }
-                other => return Err(corrupt(format!("unknown field \"{other}\""))),
-            }
-            if !self.eat(b',') {
-                break;
-            }
-        }
-        self.require(b'}')?;
-        match schema.as_deref() {
-            Some(SWEEP_CHECKPOINT_SCHEMA) => {}
-            Some(other) => return Err(corrupt(format!("unsupported schema \"{other}\""))),
-            None => return Err(corrupt("missing \"schema\"")),
-        }
-        let delta = delta
-            .as_deref()
-            .and_then(|s| s.parse::<f64>().ok())
-            .ok_or_else(|| corrupt("missing or unparsable \"delta\""))?;
-        let field = |value: Option<u64>, name: &str| {
-            value.ok_or_else(|| corrupt(format!("missing \"{name}\"")))
-        };
-        let version = u32::try_from(field(version, "rng_stream_version")?)
-            .map_err(|_| corrupt("rng_stream_version out of range"))?;
-        let n = usize::try_from(field(n, "n")?).map_err(|_| corrupt("n out of range"))?;
-        let grid =
-            usize::try_from(field(grid, "grid")?).map_err(|_| corrupt("grid out of range"))?;
-        let (shard_start, shard_points) = match shard {
-            Some((start, count)) => (
-                usize::try_from(start).map_err(|_| corrupt("shard start out of range"))?,
-                usize::try_from(count).map_err(|_| corrupt("shard points out of range"))?,
-            ),
-            None => (0, grid + 1),
-        };
-        let (first_k, wins) = points.ok_or_else(|| corrupt("missing \"points\""))?;
-        if let Some(first) = first_k {
-            if first != shard_start as u64 {
-                return Err(corrupt(format!(
-                    "points must start at the shard start {shard_start}, found k = {first}"
-                )));
-            }
-        }
-        let doc = SweepCheckpoint {
-            rng_stream_version: version,
-            n,
-            delta,
-            grid,
-            trials: field(trials, "trials")?,
-            seed: field(seed, "seed")?,
-            shard_start,
-            shard_points,
-            wins,
-        };
-        if let Some(expected) = crc {
-            let found = doc.checksum();
-            if found != expected {
-                return Err(corrupt(format!(
-                    "checksum mismatch: document says {expected}, contents hash to {found}"
-                )));
-            }
-        }
-        Ok(doc)
-    }
+/// The required non-negative integer field `key`, in `T`'s range.
+fn int<T: TryFrom<u64>>(fields: &[Field<'_>], key: &str, within: &str) -> Result<T, SweepError> {
+    let value = need(fields, key, within)?.u64(key).map_err(corrupt)?;
+    T::try_from(value).map_err(|_| corrupt(format!("{key} out of range")))
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 //! fresh rows are allowed (new benchmarks land before the reference
 //! is re-recorded).
 
-use crate::metrics::{get, get_in, parse_json, Json};
+use json::field;
 
 /// Speedup slack as a fraction of the committed ratio.
 const RELATIVE_TOLERANCE: f64 = 0.25;
@@ -69,20 +69,20 @@ pub fn floor_for(committed: f64) -> f64 {
 /// JSON, a missing `bench`/`results` field, or a row without a string
 /// `label` / numeric `speedup`.
 pub fn parse_bench_document(text: &str) -> Result<Vec<BenchRow>, String> {
-    let root = parse_json(text)?;
-    let doc = root.as_object("document root")?;
-    get(doc, "bench")?.as_string("bench")?;
-    let results = get(doc, "results")?.as_array("results")?;
+    let root = json::parse(text)?;
+    let doc = root.fields("document root")?;
+    field(doc, "bench", "document root")?.str("bench")?;
+    let results = field(doc, "results", "document root")?.items("results")?;
     let mut rows = Vec::with_capacity(results.len());
     for row in results {
-        let fields = row.as_object("results row")?;
-        let label = get_in(fields, "label", "results row")?
-            .as_string("label")?
+        let fields = row.fields("results row")?;
+        let label = field(fields, "label", "results row")?
+            .str("label")?
             .to_owned();
-        let speedup = as_f64(get_in(fields, "speedup", "results row")?, "speedup")?;
-        if !speedup.is_finite() || speedup < 0.0 {
+        let speedup = field(fields, "speedup", "results row")?.f64("speedup")?;
+        if speedup < 0.0 {
             return Err(format!(
-                "row {label:?}: speedup must be a finite non-negative number, found {speedup}"
+                "row {label:?}: speedup must be non-negative, found {speedup}"
             ));
         }
         rows.push(BenchRow { label, speedup });
@@ -145,21 +145,6 @@ pub fn check_bench_documents(
     let committed =
         parse_bench_document(committed_text).map_err(|e| format!("committed document: {e}"))?;
     compare_bench_rows(&fresh, &committed)
-}
-
-/// Reads `speedup` from its raw number token; `as_u64` is too narrow
-/// for ratio fields.
-// xtask:allow(no-twin-f64): JSON token accessor, not a twin of an exact pipeline
-fn as_f64(value: &Json, what: &str) -> Result<f64, String> {
-    match value {
-        Json::Number(raw) => raw
-            .parse::<f64>()
-            .map_err(|_| format!("{what} must be a number, found {raw}")),
-        other => Err(format!(
-            "{what} must be a number, found {}",
-            other.type_name()
-        )),
-    }
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 //! injecting anything — fails the pipeline instead of rotting in
 //! `results/`.
 
-use crate::metrics::{get, get_in, parse_json, Json};
+use json::{field, Json};
 
 /// What a valid `chaos-smoke/v1` document proved, for the success
 /// report.
@@ -58,20 +58,21 @@ impl std::fmt::Display for ChaosSummary {
 /// to the fault-free report, or recovery counters showing the plan
 /// never engaged (zero faults or zero recovered batches).
 pub fn validate_chaos_document(text: &str) -> Result<ChaosSummary, String> {
-    let root = parse_json(text)?;
-    let doc = root.as_object("document root")?;
+    let root = json::parse(text)?;
+    let doc = root.fields("document root")?;
 
-    let schema = get(doc, "schema")?.as_string("schema")?;
+    let schema = field(doc, "schema", "document root")?.str("schema")?;
     if schema != "chaos-smoke/v1" {
         return Err(format!("schema is {schema:?}, expected \"chaos-smoke/v1\""));
     }
-    let rng_stream_version = get(doc, "rng_stream_version")?.as_u64("rng_stream_version")?;
+    let rng_stream_version =
+        field(doc, "rng_stream_version", "document root")?.u64("rng_stream_version")?;
     if rng_stream_version == 0 {
         return Err("rng_stream_version must be at least 1".to_owned());
     }
 
-    let fault_free = report(get(doc, "fault_free")?, "fault_free")?;
-    let chaotic = report(get(doc, "chaotic")?, "chaotic")?;
+    let fault_free = report(field(doc, "fault_free", "document root")?, "fault_free")?;
+    let chaotic = report(field(doc, "chaotic", "document root")?, "chaotic")?;
     if chaotic != fault_free {
         return Err(format!(
             "chaotic report {{wins: {}, trials: {}}} is not bit-equal to fault-free \
@@ -80,11 +81,11 @@ pub fn validate_chaos_document(text: &str) -> Result<ChaosSummary, String> {
         ));
     }
 
-    let recoveries = get(doc, "recoveries")?.as_object("recoveries")?;
-    let faults = get_in(recoveries, "chaos_faults", "recoveries")?.as_u64("chaos_faults")?;
+    let recoveries = field(doc, "recoveries", "document root")?.fields("recoveries")?;
+    let faults = field(recoveries, "chaos_faults", "recoveries")?.u64("chaos_faults")?;
     let recovered =
-        get_in(recoveries, "recovered_batches", "recoveries")?.as_u64("recovered_batches")?;
-    let respawns = get_in(recoveries, "pool_respawns", "recoveries")?.as_u64("pool_respawns")?;
+        field(recoveries, "recovered_batches", "recoveries")?.u64("recovered_batches")?;
+    let respawns = field(recoveries, "pool_respawns", "recoveries")?.u64("pool_respawns")?;
     if faults == 0 {
         return Err("chaos_faults is 0 — the smoke run injected nothing".to_owned());
     }
@@ -103,10 +104,10 @@ pub fn validate_chaos_document(text: &str) -> Result<ChaosSummary, String> {
 }
 
 /// Reads one `{"wins": …, "trials": …}` report object.
-fn report(value: &Json, what: &str) -> Result<(u64, u64), String> {
-    let fields = value.as_object(what)?;
-    let wins = get_in(fields, "wins", what)?.as_u64("wins")?;
-    let trials = get_in(fields, "trials", what)?.as_u64("trials")?;
+fn report(value: &Json<'_>, what: &str) -> Result<(u64, u64), String> {
+    let fields = value.fields(what)?;
+    let wins = field(fields, "wins", what)?.u64("wins")?;
+    let trials = field(fields, "trials", what)?.u64("trials")?;
     if wins > trials {
         return Err(format!("{what}: wins {wins} exceed trials {trials}"));
     }

@@ -14,7 +14,6 @@
 //! regenerate with `cargo xtask analyze --update-fingerprint`.
 
 use crate::lints::Violation;
-use crate::metrics::{parse_json, Json};
 use crate::source::SourceFile;
 use std::fmt::Write as _;
 
@@ -190,32 +189,24 @@ impl Fingerprint {
     /// Returns a message on malformed JSON, a wrong schema tag, or a
     /// non-hex hash value.
     pub fn parse(text: &str) -> Result<Fingerprint, String> {
-        let doc = parse_json(text)?;
-        let fields = doc.as_object("fingerprint document")?;
-        let schema = get(fields, "schema")?.as_string("schema")?;
+        let doc = json::parse(text)?;
+        let fields = doc.fields("fingerprint document")?;
+        let get = |key: &str| json::field(fields, key, "fingerprint document");
+        let schema = get("schema")?.str("schema")?;
         if schema != "stream-fingerprint/v1" {
             return Err(format!("unsupported fingerprint schema `{schema}`"));
         }
-        let version = get(fields, "rng_stream_version")?.as_u64("rng_stream_version")?;
+        let version = get("rng_stream_version")?.u64("rng_stream_version")?;
         let mut entries = Vec::new();
-        for (key, value) in get(fields, "functions")?.as_object("functions")? {
-            let hex = value.as_string(key)?;
+        for (key, value) in get("functions")?.fields("functions")? {
+            let hex = value.str(key)?;
             let hash = u64::from_str_radix(hex, 16)
                 .map_err(|_| format!("`{key}`: hash `{hex}` is not hex"))?;
-            entries.push((key.clone(), hash, 1));
+            entries.push((key.to_string(), hash, 1));
         }
         entries.sort();
         Ok(Fingerprint { version, entries })
     }
-}
-
-/// Object-field lookup shared with the metrics validator's style.
-fn get<'a>(fields: &'a [(String, Json)], key: &str) -> Result<&'a Json, String> {
-    fields
-        .iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| format!("missing `{key}`"))
 }
 
 /// The gate: compares the current fingerprint of `critical` against

@@ -237,17 +237,18 @@ fn run_table_check(path: String) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let rows = match xtask::table::validate_table_document(&text) {
-        Ok(rows) => rows,
+    let table = match xtask::table::validate_table_document(&text) {
+        Ok(table) => table,
         Err(message) => {
             eprintln!("xtask table-check: {path}: {message}");
             return ExitCode::FAILURE;
         }
     };
+    let rows = table.rows();
     let picks = xtask::table::spot_indices(rows.len(), 5);
     for &idx in &picks {
         let row = &rows[idx];
-        let n = row.n as u32;
+        let n = row.n;
         if !decision::certified::spot_check(n, row.beta_lo, row.beta_hi) {
             eprintln!(
                 "xtask table-check: {path}: row n={n} failed spot re-certification \
@@ -361,11 +362,9 @@ fn render_json(outcome: &CheckReport) -> String {
     let rows = check_rows(true);
     for (idx, (id, summary)) in rows.iter().enumerate() {
         let comma = if idx + 1 == rows.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"id\": \"{id}\", \"summary\": \"{}\"}}{comma}",
-            json_escape(summary)
-        );
+        let _ = write!(out, "    {{\"id\": \"{id}\", \"summary\": ");
+        json::write_str(&mut out, summary);
+        let _ = writeln!(out, "}}{comma}");
     }
     out.push_str("  ],\n  \"violations\": [\n");
     for (idx, v) in outcome.violations.iter().enumerate() {
@@ -374,14 +373,11 @@ fn render_json(outcome: &CheckReport) -> String {
         } else {
             ","
         };
-        let _ = writeln!(
-            out,
-            "    {{\"check\": \"{}\", \"path\": \"{}\", \"line\": {}, \"message\": \"{}\"}}{comma}",
-            v.lint,
-            json_escape(&v.path),
-            v.line,
-            json_escape(&v.message)
-        );
+        let _ = write!(out, "    {{\"check\": \"{}\", \"path\": ", v.lint);
+        json::write_str(&mut out, &v.path);
+        let _ = write!(out, ", \"line\": {}, \"message\": ", v.line);
+        json::write_str(&mut out, &v.message);
+        let _ = writeln!(out, "}}{comma}");
     }
     out.push_str("  ],\n  \"stale_waivers\": [\n");
     for (idx, e) in outcome.stale.iter().enumerate() {
@@ -390,31 +386,11 @@ fn render_json(outcome: &CheckReport) -> String {
         } else {
             ","
         };
-        let _ = writeln!(
-            out,
-            "    {{\"check\": \"{}\", \"path\": \"{}\"}}{comma}",
-            e.lint,
-            json_escape(&e.path_fragment)
-        );
+        let _ = write!(out, "    {{\"check\": \"{}\", \"path\": ", e.lint);
+        json::write_str(&mut out, &e.path_fragment);
+        let _ = writeln!(out, "}}{comma}");
     }
     out.push_str("  ]\n}\n");
-    out
-}
-
-/// Minimal JSON string escaping for the fields we emit.
-fn json_escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
     out
 }
 

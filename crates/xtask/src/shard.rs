@@ -12,7 +12,7 @@
 //! the supervision layer, or a smoke config that stops injecting
 //! faults, fails the pipeline instead of rotting in `results/`.
 
-use crate::metrics::{get, get_in, parse_json, Json};
+use json::{field, Json};
 
 /// What a valid `shard-smoke/v1` document proved, for the success
 /// report.
@@ -75,20 +75,21 @@ struct Leg {
 /// (`issued != completed` on a converged run, or
 /// `issued != shards + reissued`).
 pub fn validate_shard_document(text: &str) -> Result<ShardSummary, String> {
-    let root = parse_json(text)?;
-    let doc = root.as_object("document root")?;
+    let root = json::parse(text)?;
+    let doc = root.fields("document root")?;
 
-    let schema = get(doc, "schema")?.as_string("schema")?;
+    let schema = field(doc, "schema", "document root")?.str("schema")?;
     if schema != "shard-smoke/v1" {
         return Err(format!("schema is {schema:?}, expected \"shard-smoke/v1\""));
     }
-    let rng_stream_version = get(doc, "rng_stream_version")?.as_u64("rng_stream_version")?;
+    let rng_stream_version =
+        field(doc, "rng_stream_version", "document root")?.u64("rng_stream_version")?;
     if rng_stream_version == 0 {
         return Err("rng_stream_version must be at least 1".to_owned());
     }
-    let shards = get(doc, "shards")?.as_u64("shards")?;
-    let grid = get(doc, "grid")?.as_u64("grid")?;
-    let trials = get(doc, "trials")?.as_u64("trials")?;
+    let shards = field(doc, "shards", "document root")?.u64("shards")?;
+    let grid = field(doc, "grid", "document root")?.u64("grid")?;
+    let trials = field(doc, "trials", "document root")?.u64("trials")?;
     if shards < 2 {
         return Err(format!(
             "shards is {shards} — a smoke with fewer than 2 shards proves nothing about \
@@ -105,8 +106,8 @@ pub fn validate_shard_document(text: &str) -> Result<ShardSummary, String> {
         return Err("trials must be positive".to_owned());
     }
 
-    let fault_free = leg(get(doc, "fault_free")?, "fault_free")?;
-    let chaotic = leg(get(doc, "chaotic")?, "chaotic")?;
+    let fault_free = leg(field(doc, "fault_free", "document root")?, "fault_free")?;
+    let chaotic = leg(field(doc, "chaotic", "document root")?, "chaotic")?;
     for (name, l) in [("fault_free", fault_free), ("chaotic", chaotic)] {
         if !l.bit_identical {
             return Err(format!(
@@ -164,9 +165,9 @@ pub fn validate_shard_document(text: &str) -> Result<ShardSummary, String> {
 }
 
 /// Reads one leg's ledger object.
-fn leg(value: &Json, what: &str) -> Result<Leg, String> {
-    let fields = value.as_object(what)?;
-    let bit_identical = match get_in(fields, "bit_identical", what)? {
+fn leg(value: &Json<'_>, what: &str) -> Result<Leg, String> {
+    let fields = value.fields(what)?;
+    let bit_identical = match field(fields, "bit_identical", what)? {
         Json::Bool(b) => *b,
         other => {
             return Err(format!(
@@ -177,11 +178,11 @@ fn leg(value: &Json, what: &str) -> Result<Leg, String> {
     };
     Ok(Leg {
         bit_identical,
-        issued: get_in(fields, "issued", what)?.as_u64("issued")?,
-        completed: get_in(fields, "completed", what)?.as_u64("completed")?,
-        reissued: get_in(fields, "reissued", what)?.as_u64("reissued")?,
-        killed: get_in(fields, "killed", what)?.as_u64("killed")?,
-        corrupt: get_in(fields, "corrupt", what)?.as_u64("corrupt")?,
+        issued: field(fields, "issued", what)?.u64("issued")?,
+        completed: field(fields, "completed", what)?.u64("completed")?,
+        reissued: field(fields, "reissued", what)?.u64("reissued")?,
+        killed: field(fields, "killed", what)?.u64("killed")?,
+        corrupt: field(fields, "corrupt", what)?.u64("corrupt")?,
     })
 }
 

@@ -2,110 +2,51 @@
 //! (`results/threshold_table.json`), the certified optimal-threshold
 //! table produced by `cargo xtask table`.
 //!
-//! Structural checks run here (schema and rule tags, contiguous `n`
-//! from 2, well-ordered enclosures inside `(0, 1)`, certified widths,
-//! known methods); the caller follows up with semantic spot
-//! re-certification of a few rows via
-//! [`decision::certified::spot_check`].
+//! The document is read by the table's own reader,
+//! [`ThresholdTable::from_json`], which owns the schema. This module
+//! adds the certified invariants over its rows (contiguous `n` from 2,
+//! well-ordered enclosures inside `(0, 1)`, certified widths); the
+//! caller follows up with semantic spot re-certification of a few
+//! rows via [`decision::certified::spot_check`].
 
-use crate::metrics::{get, get_in, parse_json, Json};
-
-/// Schema tag the document must carry (kept in sync with
-/// `decision::certified::table::SCHEMA`).
-pub const SCHEMA: &str = "threshold-table/v1";
+use decision::certified::{ThresholdRow, ThresholdTable};
 
 /// Certified width bound every enclosure must satisfy (matches the
 /// generator's acceptance target).
 pub const WIDTH_BOUND: f64 = 1e-9;
 
-/// One structurally validated row of the table.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TableRow {
-    /// Number of players.
-    pub n: u64,
-    /// Certified `β*_n` enclosure.
-    pub beta_lo: f64,
-    /// Certified `β*_n` enclosure.
-    pub beta_hi: f64,
-    /// Certified `P*_n` enclosure.
-    pub p_lo: f64,
-    /// Certified `P*_n` enclosure.
-    pub p_hi: f64,
-    /// Certifying pipeline (`"exact"` or `"ball"`).
-    pub method: String,
-}
-
-/// Parses and structurally validates a `threshold-table/v1` document.
+/// Parses a `threshold-table/v1` document and checks its certified
+/// invariants.
 ///
 /// # Errors
 ///
-/// Returns a message naming the first malformed field: wrong schema
-/// or capacity rule, non-contiguous `n`, an enclosure that is
-/// inverted, out of `(0, 1)` (`p_hi` may touch 1), wider than
-/// [`WIDTH_BOUND`], or an unknown method.
-pub fn validate_table_document(text: &str) -> Result<Vec<TableRow>, String> {
-    let root = parse_json(text)?;
-    let fields = root.as_object("document root")?;
-    let schema = get(fields, "schema")?.as_string("schema")?;
-    if schema != SCHEMA {
-        return Err(format!("schema must be {SCHEMA:?}, found {schema:?}"));
-    }
-    let rule = get(fields, "delta_rule")?.as_string("delta_rule")?;
-    if rule != "n/3" {
-        return Err(format!("delta_rule must be \"n/3\", found {rule:?}"));
-    }
-    let rows = get(fields, "rows")?.as_array("rows")?;
-    if rows.is_empty() {
+/// Returns a message naming the first problem: a document the reader
+/// rejects, no rows, non-contiguous `n`, or an enclosure that is
+/// inverted, out of `(0, 1)` (`p_hi` may touch 1) or wider than
+/// [`WIDTH_BOUND`].
+pub fn validate_table_document(text: &str) -> Result<ThresholdTable, String> {
+    let table = ThresholdTable::from_json(text)?;
+    if table.rows().is_empty() {
         return Err("rows must be non-empty".to_string());
     }
-    let mut out = Vec::with_capacity(rows.len());
-    for (idx, row) in rows.iter().enumerate() {
-        let row = parse_row(row, idx)?;
-        let expect = idx as u64 + 2;
-        if row.n != expect {
-            return Err(format!(
-                "rows[{idx}]: n must be contiguous from 2 (expected {expect}, found {})",
-                row.n
-            ));
-        }
-        check_enclosure(idx, "beta", row.beta_lo, row.beta_hi, false)?;
-        check_enclosure(idx, "p", row.p_lo, row.p_hi, true)?;
-        if row.method != "exact" && row.method != "ball" {
-            return Err(format!(
-                "rows[{idx}]: method must be \"exact\" or \"ball\", found {:?}",
-                row.method
-            ));
-        }
-        out.push(row);
+    for (idx, row) in table.rows().iter().enumerate() {
+        check_row(idx, row)?;
     }
-    Ok(out)
+    Ok(table)
 }
 
-/// Extracts one row's fields.
-fn parse_row(row: &Json, idx: usize) -> Result<TableRow, String> {
-    let what = format!("rows[{idx}]");
-    let fields = row.as_object(&what)?;
-    let f = |key: &str| -> Result<f64, String> {
-        match get_in(fields, key, &what)? {
-            Json::Number(raw) => raw
-                .parse::<f64>()
-                .map_err(|_| format!("{what}.{key}: unparseable number {raw:?}")),
-            other => Err(format!(
-                "{what}.{key} must be a number, found {}",
-                other.type_name()
-            )),
-        }
-    };
-    Ok(TableRow {
-        n: get_in(fields, "n", &what)?.as_u64(&format!("{what}.n"))?,
-        beta_lo: f("beta_lo")?,
-        beta_hi: f("beta_hi")?,
-        p_lo: f("p_lo")?,
-        p_hi: f("p_hi")?,
-        method: get_in(fields, "method", &what)?
-            .as_string(&format!("{what}.method"))?
-            .to_string(),
-    })
+/// The invariants of row `idx`: `n = idx + 2` and both enclosures
+/// certified.
+fn check_row(idx: usize, row: &ThresholdRow) -> Result<(), String> {
+    let expect = idx as u64 + 2;
+    if u64::from(row.n) != expect {
+        return Err(format!(
+            "rows[{idx}]: n must be contiguous from 2 (expected {expect}, found {})",
+            row.n
+        ));
+    }
+    check_enclosure(idx, "beta", row.beta_lo, row.beta_hi, false)?;
+    check_enclosure(idx, "p", row.p_lo, row.p_hi, true)
 }
 
 /// A certified enclosure must be well-ordered, interior to `(0, 1)`
@@ -185,7 +126,8 @@ mod tests {
             row(2, 0.444, 0.444),
             row(3, 0.622, 0.622)
         ));
-        let rows = validate_table_document(&text).unwrap();
+        let table = validate_table_document(&text).unwrap();
+        let rows = table.rows();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[1].n, 3);
         assert_eq!(rows[0].method, "exact");

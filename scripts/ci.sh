@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # The full local gate, identical to .github/workflows/ci.yml:
 #   fmt -> static analyzer -> examples build -> tests (incl. doc-tests)
-#   -> tests with hard invariants -> bench smoke -> bench check
+#   -> tests with hard invariants -> benchmark-harness tests
+#   -> bench smoke -> bench check
 #   -> metrics smoke -> shard smoke -> service smoke -> table check
 #   -> analyze smoke (runtime budget).
 set -eu
@@ -25,6 +26,12 @@ cargo test --quiet --workspace --doc
 
 echo "==> cargo test (checked invariants)"
 cargo test --quiet --workspace --features checked-invariants
+
+echo "==> cargo test (benchmark harness)"
+# perfbench/ is a workspace of its own, so the workspace run above
+# does not build it. Its tests are the only check that the benchmark
+# still compiles against the library APIs it imports.
+cargo test --manifest-path perfbench/Cargo.toml
 
 echo "==> bench smoke (simulator_throughput)"
 # One short iteration: keeps the bench code and its JSON emission
