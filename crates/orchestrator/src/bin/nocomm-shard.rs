@@ -3,8 +3,10 @@
 //! Three modes:
 //!
 //! * `run` — execute one shard of a sweep as a worker process,
-//!   checkpointing after every point (the mode [`orchestrator::run_sweep`]
-//!   spawns). `--fault` injects a deterministic crash, stall, or
+//!   checkpointing after every point and then printing one progress
+//!   line to stdout (the mode [`orchestrator::run_sweep`] spawns; the
+//!   lines are how the coordinator tells progress from a hang).
+//!   `--fault` injects a deterministic crash, stall, or
 //!   corrupt-output fault for chaos testing.
 //! * `sweep` — act as the coordinator: split the grid, spawn workers
 //!   (this same binary by default), supervise, merge, and print the
@@ -21,6 +23,7 @@ use orchestrator::{
 use simulator::{
     sweep_threshold_checkpointed, EngineMetrics, ShardSweep, SweepCheckpoint, RNG_STREAM_VERSION,
 };
+use std::io::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -35,9 +38,12 @@ USAGE:
   nocomm-shard run --n N --delta D --grid G --trials T --seed S \\
                    --start K --points P --out FILE [--fault F]
       Run one shard as a worker: points K..K+P of the sweep, with a
-      checkpoint written atomically after every point. --fault injects
-      kill:J (abort after J new points), stall:J (hang after J new
-      points), or corrupt (finish, then trash the file).
+      checkpoint written atomically after every point. After each
+      write it prints and flushes one line, <done>/<P>, to stdout: the
+      coordinator counts a worker that prints nothing for --stall-ms
+      as hung. --fault injects kill:J (abort after J new points),
+      stall:J (hang after J new points), or corrupt (finish, then
+      trash the file).
 
   nocomm-shard sweep --n N --delta D --grid G --trials T --seed S \\
                      --shards W --dir DIR [--worker PATH]
@@ -75,7 +81,8 @@ fn run(args: Vec<String>) -> Result<(), String> {
     }
 }
 
-/// Collects `--flag value` pairs, rejecting unknown flags.
+/// Collects `--flag value` pairs, rejecting unknown and repeated
+/// flags and a flag whose value is missing (or is the next flag).
 fn parse_flags(args: &[String], known: &[&str]) -> Result<Vec<(String, String)>, String> {
     let mut pairs = Vec::new();
     let mut it = args.iter();
@@ -83,7 +90,13 @@ fn parse_flags(args: &[String], known: &[&str]) -> Result<Vec<(String, String)>,
         if !known.contains(&flag.as_str()) {
             return Err(format!("unknown flag {flag}\n{USAGE}"));
         }
-        let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
+        if pairs.iter().any(|(seen, _)| seen == flag) {
+            return Err(format!("{flag} is given more than once"));
+        }
+        let value = it
+            .next()
+            .filter(|value| !value.starts_with("--"))
+            .ok_or_else(|| format!("{flag} needs a value"))?;
         pairs.push((flag.clone(), value.clone()));
     }
     Ok(pairs)
@@ -92,7 +105,6 @@ fn parse_flags(args: &[String], known: &[&str]) -> Result<Vec<(String, String)>,
 fn lookup<'a>(pairs: &'a [(String, String)], flag: &str) -> Option<&'a str> {
     pairs
         .iter()
-        .rev()
         .find(|(f, _)| f == flag)
         .map(|(_, v)| v.as_str())
 }
@@ -106,6 +118,19 @@ fn parsed<T: std::str::FromStr>(text: &str, flag: &str) -> Result<T, String> {
         .map_err(|_| format!("could not parse {flag} value {text:?}"))
 }
 
+/// Reads `--delta`, the bin capacity: a positive, finite number.
+fn capacity(pairs: &[(String, String)]) -> Result<f64, String> {
+    let text = require(pairs, "--delta")?;
+    let delta: f64 = parsed(text, "--delta")?;
+    if delta.is_finite() && delta > 0.0 {
+        Ok(delta)
+    } else {
+        Err(format!(
+            "--delta must be positive and finite, found {text:?}"
+        ))
+    }
+}
+
 /// Worker mode: run one shard, optionally injecting a fault.
 fn worker(args: &[String]) -> Result<(), String> {
     let pairs = parse_flags(
@@ -116,7 +141,7 @@ fn worker(args: &[String]) -> Result<(), String> {
         ],
     )?;
     let n: usize = parsed(require(&pairs, "--n")?, "--n")?;
-    let delta: f64 = parsed(require(&pairs, "--delta")?, "--delta")?;
+    let delta = capacity(&pairs)?;
     let grid: usize = parsed(require(&pairs, "--grid")?, "--grid")?;
     let trials: u64 = parsed(require(&pairs, "--trials")?, "--trials")?;
     let seed: u64 = parsed(require(&pairs, "--seed")?, "--seed")?;
@@ -151,6 +176,7 @@ fn worker(args: &[String]) -> Result<(), String> {
             break;
         }
         fresh += 1;
+        report_progress(&sweep);
     }
     if matches!(fault, Some(ProcFault::Corrupt)) {
         // Finish, then hand back garbage with a clean exit status:
@@ -162,6 +188,18 @@ fn worker(args: &[String]) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     }
     Ok(())
+}
+
+/// Prints the worker's progress line for a point `step` just
+/// persisted: `<done>/<points>`. The coordinator reads each line as a
+/// sign of life; one that has gone away must not stop the worker,
+/// whose checkpoint a restarted coordinator adopts, so write errors
+/// are ignored.
+fn report_progress(sweep: &ShardSweep) {
+    let mut out = std::io::stdout();
+    let done = sweep.completed();
+    let points = sweep.checkpoint().shard_points;
+    let _unheard = writeln!(out, "{done}/{points}").and_then(|()| out.flush());
 }
 
 /// Coordinator mode: fan a sweep out over worker processes.
@@ -183,7 +221,7 @@ fn coordinate(args: &[String]) -> Result<(), String> {
         ],
     )?;
     let n: usize = parsed(require(&pairs, "--n")?, "--n")?;
-    let delta: f64 = parsed(require(&pairs, "--delta")?, "--delta")?;
+    let delta = capacity(&pairs)?;
     let grid: usize = parsed(require(&pairs, "--grid")?, "--grid")?;
     let trials: u64 = parsed(require(&pairs, "--trials")?, "--trials")?;
     let seed: u64 = parsed(require(&pairs, "--seed")?, "--seed")?;

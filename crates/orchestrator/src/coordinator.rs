@@ -1,19 +1,30 @@
 //! The supervision loop: spawn, watch, kill, re-issue, merge.
+//!
+//! The loop is event-driven. Each worker's stdout is a pipe drained by
+//! a small reader thread, which forwards one progress event per line
+//! (a worker prints one per persisted point) and an exit event at EOF
+//! into one channel. The supervisor blocks on that channel until the
+//! next event or the nearest timer: a pending shard's backoff, or a
+//! running worker's stall timeout or deadline.
 
 use crate::chaos::ProcChaosPlan;
 use crate::error::OrchestratorError;
 use crate::plan::{split_grid, ShardSpec};
 use obs::{MetricsSink, NoopSink};
 use simulator::{keys, SweepCheckpoint};
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use std::io::Read;
+use std::path::PathBuf;
+use std::process::{Child, Command, ExitStatus, Stdio};
+use std::sync::mpsc::{self, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How to launch one worker process.
 ///
 /// The program must honor the `nocomm-shard run` command line (the
-/// `nocomm-shard` binary itself is the normal choice); `args` are
+/// `nocomm-shard` binary itself is the normal choice), including its
+/// stdout contract: one line per persisted point, which is how the
+/// coordinator tells a working worker from a hung one. `args` are
 /// prepended before `run`, so a wrapper script or `cargo run --bin
 /// nocomm-shard --` both work.
 #[derive(Clone, Debug)]
@@ -48,6 +59,11 @@ impl WorkerSpec {
 /// Tuning for [`run_sweep`]: shard count, scratch directory, worker
 /// launch spec, and the supervision knobs (deadline, stall detection,
 /// respawn budget, backoff).
+///
+/// Supervision is event-driven, so there is no polling interval: the
+/// coordinator wakes when a worker prints a progress line or exits,
+/// and otherwise only when a backoff, stall timeout or deadline
+/// expires.
 #[derive(Clone, Debug)]
 pub struct OrchestratorConfig {
     /// Number of shards to split the grid into (`1..=grid + 1`).
@@ -62,8 +78,9 @@ pub struct OrchestratorConfig {
     /// Wall-clock budget for one worker attempt; overrunning workers
     /// are killed and their shard re-issued.
     pub shard_deadline: Duration,
-    /// A worker whose checkpoint file stops growing for this long is
-    /// considered hung, killed, and its shard re-issued.
+    /// A worker that prints no progress line for this long (workers
+    /// print one per persisted point) is considered hung, killed, and
+    /// its shard re-issued.
     pub stall_timeout: Duration,
     /// How many times a shard may be *re*-issued after its first
     /// attempt before the sweep gives up with
@@ -73,8 +90,6 @@ pub struct OrchestratorConfig {
     pub backoff_base: Duration,
     /// Upper bound on the exponential backoff.
     pub backoff_cap: Duration,
-    /// How often the supervisor polls its workers.
-    pub poll_interval: Duration,
     /// Deterministic fault schedule forwarded to workers via
     /// `--fault`; `None` (the default) runs everything fault-free.
     pub chaos: Option<ProcChaosPlan>,
@@ -82,7 +97,7 @@ pub struct OrchestratorConfig {
 
 impl OrchestratorConfig {
     /// A config with conservative defaults: 30s shard deadline, 2s
-    /// stall timeout, 4 respawns, 50ms..1s backoff, 20ms polling.
+    /// stall timeout, 4 respawns, 50ms..1s backoff.
     pub fn new(shards: usize, dir: impl Into<PathBuf>, worker: WorkerSpec) -> OrchestratorConfig {
         OrchestratorConfig {
             shards,
@@ -93,7 +108,6 @@ impl OrchestratorConfig {
             respawn_budget: 4,
             backoff_base: Duration::from_millis(50),
             backoff_cap: Duration::from_secs(1),
-            poll_interval: Duration::from_millis(20),
             chaos: None,
         }
     }
@@ -103,12 +117,60 @@ impl OrchestratorConfig {
     }
 }
 
+/// What a worker's reader thread saw on the worker's stdout.
+#[derive(Clone, Copy, Debug)]
+enum Signal {
+    /// One line: the worker persisted a point.
+    Progress,
+    /// End of file: the worker closed its stdout, normally by exiting.
+    Exited,
+}
+
+/// One report from a reader thread. The attempt tag lets the
+/// supervisor ignore the late events of a worker it already killed.
+#[derive(Clone, Copy, Debug)]
+struct Event {
+    shard: usize,
+    attempt: u32,
+    signal: Signal,
+}
+
+/// Capacity of a sweep's event channel. Its buffer is allocated once
+/// per sweep, never per event; a full channel only makes readers wait.
+const EVENT_QUEUE: usize = 64;
+
+/// Stack of a reader thread, which only copies pipe bytes into a
+/// small buffer on its stack.
+const READER_STACK: usize = 64 * 1024;
+
+/// First re-check of a worker whose stdout closed before its exit
+/// status was ready; each further re-check waits twice as long.
+const REAP_FIRST: Duration = Duration::from_micros(100);
+
+/// Once the re-check delay would pass this, a worker that closed its
+/// stdout but keeps running is left to the stall timer and deadline.
+const REAP_LAST: Duration = Duration::from_millis(64);
+
 /// One live worker process and the progress we last saw from it.
 struct Running {
     child: Child,
+    attempt: u32,
     spawned_at: Instant,
-    last_len: u64,
     last_progress: Instant,
+    /// After stdout closed on a worker that was not yet reapable: when
+    /// to look for its exit status again, and the delay used.
+    recheck: Option<(Instant, Duration)>,
+}
+
+impl Running {
+    /// The nearest instant at which this worker needs attention even
+    /// if it reports nothing; `None` when no timer can fire.
+    fn wake_at(&self, config: &OrchestratorConfig) -> Option<Instant> {
+        let stall = self.last_progress.checked_add(config.stall_timeout);
+        let deadline = self.spawned_at.checked_add(config.shard_deadline);
+        let recheck = self.recheck.map(|(at, _)| at);
+        [stall, deadline, recheck].into_iter().flatten().min()
+    }
 }
 
 enum Slot {
@@ -207,7 +269,13 @@ fn validate(
     request: &SweepCheckpoint,
     config: &OrchestratorConfig,
 ) -> Result<(), OrchestratorError> {
-    if request.n < 2 || request.grid < 2 || request.trials == 0 || !request.delta.is_finite() {
+    let grid_points = request.grid.checked_add(1);
+    if request.n < 2
+        || request.grid < 2
+        || grid_points.is_none()
+        || request.trials == 0
+        || !(request.delta.is_finite() && request.delta > 0.0)
+    {
         return Err(invalid("request parameters are out of range"));
     }
     if request.rng_stream_version != simulator::RNG_STREAM_VERSION {
@@ -226,11 +294,10 @@ fn validate(
     if config.shards == 0 {
         return Err(invalid("at least one shard is required"));
     }
-    if config.shards > request.grid + 1 {
+    if let Some(points) = grid_points.filter(|&points| config.shards > points) {
         return Err(invalid(format!(
-            "{} shards cannot each cover a point of a {}-point grid",
-            config.shards,
-            request.grid + 1
+            "{} shards cannot each cover a point of a {points}-point grid",
+            config.shards
         )));
     }
     if config.worker.program.as_os_str().is_empty() {
@@ -259,38 +326,133 @@ fn adopt_existing(task: &mut ShardTask, sink: &dyn MetricsSink) {
     }
 }
 
+/// The event loop: act on every due timer, then block until the next
+/// worker event or the nearest timer, whichever comes first.
 fn supervise(
     tasks: &mut [ShardTask],
     config: &OrchestratorConfig,
     sink: &dyn MetricsSink,
 ) -> Result<(), OrchestratorError> {
+    let (events, inbox) = mpsc::sync_channel(EVENT_QUEUE);
     loop {
-        let mut all_done = true;
+        let now = Instant::now();
         for task in tasks.iter_mut() {
-            match &task.slot {
-                Slot::Done => {}
-                Slot::Pending { eligible_at } => {
-                    all_done = false;
-                    let due = Instant::now() >= *eligible_at;
-                    if due {
-                        spawn_worker(task, config, sink)?;
-                    }
-                }
-                Slot::Running(_) => {
-                    all_done = false;
-                    poll_worker(task, config, sink)?;
-                }
-            }
+            tend(task, now, &events, config, sink)?;
         }
-        if all_done {
+        let mut live = false;
+        let mut wake: Option<Instant> = None;
+        for task in tasks.iter() {
+            let at = match &task.slot {
+                Slot::Done => continue,
+                Slot::Pending { eligible_at } => Some(*eligible_at),
+                Slot::Running(run) => run.wake_at(config),
+            };
+            live = true;
+            wake = wake.into_iter().chain(at).min();
+        }
+        if !live {
             return Ok(());
         }
-        std::thread::sleep(config.poll_interval);
+        // With no timer at all, `Duration::MAX` waits for an event
+        // alone. The loop holds a sender, so the channel never
+        // disconnects; a timeout falls through to the timer pass.
+        let wait = wake.map_or(Duration::MAX, |at| at.saturating_duration_since(now));
+        if let Ok(event) = inbox.recv_timeout(wait) {
+            if let Some(task) = tasks.get_mut(event.shard) {
+                on_event(task, event, config, sink)?;
+            }
+        }
+    }
+}
+
+/// Acts on whatever is due for `task` at `now`: spawns a pending shard
+/// whose backoff has passed, re-checks a worker whose stdout closed,
+/// and kills a worker past its stall timeout or deadline.
+fn tend(
+    task: &mut ShardTask,
+    now: Instant,
+    events: &SyncSender<Event>,
+    config: &OrchestratorConfig,
+    sink: &dyn MetricsSink,
+) -> Result<(), OrchestratorError> {
+    match &mut task.slot {
+        Slot::Pending { eligible_at } if now >= *eligible_at => {
+            spawn_worker(task, events, config, sink)
+        }
+        Slot::Done | Slot::Pending { .. } => Ok(()),
+        Slot::Running(run) => {
+            if run.recheck.is_some_and(|(at, _)| now >= at) {
+                return reap(task, config, sink);
+            }
+            let stalled = now.duration_since(run.last_progress) >= config.stall_timeout;
+            let overdue = now.duration_since(run.spawned_at) >= config.shard_deadline;
+            if !(stalled || overdue) {
+                return Ok(());
+            }
+            // A worker that exited without its EOF reaching us yet is
+            // judged by its exit status, not shot.
+            if let Ok(Some(status)) = run.child.try_wait() {
+                finish(task, status, config, sink)
+            } else {
+                kill(run, sink);
+                requeue(task, config, sink)
+            }
+        }
+    }
+}
+
+/// Applies one reader-thread event to its shard, unless it belongs to
+/// an attempt that is no longer running.
+fn on_event(
+    task: &mut ShardTask,
+    event: Event,
+    config: &OrchestratorConfig,
+    sink: &dyn MetricsSink,
+) -> Result<(), OrchestratorError> {
+    let Slot::Running(run) = &mut task.slot else {
+        return Ok(());
+    };
+    if run.attempt != event.attempt {
+        return Ok(());
+    }
+    match event.signal {
+        Signal::Progress => {
+            run.last_progress = Instant::now();
+            Ok(())
+        }
+        Signal::Exited => reap(task, config, sink),
+    }
+}
+
+/// Looks for the exit status of a worker whose stdout has closed. A
+/// process closes its pipes a moment before it becomes reapable, so a
+/// miss is re-checked after doubling delays; past [`REAP_LAST`] the
+/// worker is left to its timers. Never blocks in `wait`.
+fn reap(
+    task: &mut ShardTask,
+    config: &OrchestratorConfig,
+    sink: &dyn MetricsSink,
+) -> Result<(), OrchestratorError> {
+    let Slot::Running(run) = &mut task.slot else {
+        return Ok(());
+    };
+    match run.child.try_wait() {
+        Ok(Some(status)) => finish(task, status, config, sink),
+        Ok(None) => {
+            let delay = run.recheck.map_or(REAP_FIRST, |(_, last)| last * 2);
+            run.recheck = (delay <= REAP_LAST).then(|| (Instant::now() + delay, delay));
+            Ok(())
+        }
+        Err(_) => {
+            kill(run, sink);
+            requeue(task, config, sink)
+        }
     }
 }
 
 fn spawn_worker(
     task: &mut ShardTask,
+    events: &SyncSender<Event>,
     config: &OrchestratorConfig,
     sink: &dyn MetricsSink,
 ) -> Result<(), OrchestratorError> {
@@ -315,17 +477,22 @@ fn spawn_worker(
         .arg("--out")
         .arg(&task.path)
         .stdin(Stdio::null())
-        .stdout(Stdio::null())
+        .stdout(Stdio::piped())
         .stderr(Stdio::null());
     if let Some(plan) = &config.chaos {
         if let Some(fault) = plan.fault_for(task.spec.index, attempt) {
             cmd.arg("--fault").arg(fault.to_arg());
         }
     }
-    let child = cmd.spawn().map_err(|source| OrchestratorError::Spawn {
-        shard: task.spec.index,
-        source,
-    })?;
+    let shard = task.spec.index;
+    let mut child = cmd
+        .spawn()
+        .map_err(|source| OrchestratorError::Spawn { shard, source })?;
+    if let Err(source) = watch(&mut child, shard, attempt, events) {
+        let _killed = child.kill();
+        let _reaped = child.wait();
+        return Err(OrchestratorError::Spawn { shard, source });
+    }
     task.attempts += 1;
     let now = Instant::now();
     if task.first_issued.is_none() {
@@ -334,55 +501,77 @@ fn spawn_worker(
     sink.add(keys::SHARD_ISSUED, 1);
     task.slot = Slot::Running(Running {
         child,
+        attempt,
         spawned_at: now,
-        last_len: file_len(&task.path),
         last_progress: now,
+        recheck: None,
     });
     Ok(())
 }
 
-fn poll_worker(
+/// Starts the reader thread that turns the worker's stdout into
+/// events. The thread is detached on purpose: it ends at EOF, which
+/// killing the worker also brings, while a join could block for as
+/// long as a child of the worker keeps the pipe open. A reader that
+/// died early leaves its worker to the stall timer.
+fn watch(
+    child: &mut Child,
+    shard: usize,
+    attempt: u32,
+    events: &SyncSender<Event>,
+) -> std::io::Result<()> {
+    let mut stdout = child
+        .stdout
+        .take()
+        .ok_or_else(|| std::io::Error::other("the worker's stdout is not piped"))?;
+    let events = events.clone();
+    std::thread::Builder::new()
+        .stack_size(READER_STACK)
+        .spawn(move || forward(&mut stdout, shard, attempt, &events))?;
+    Ok(())
+}
+
+/// Sends one [`Signal::Progress`] per line read from `stdout`, then
+/// [`Signal::Exited`] at EOF; a read error ends the stream the same
+/// way. Stops early once the supervisor has hung up.
+fn forward(stdout: &mut impl Read, shard: usize, attempt: u32, events: &SyncSender<Event>) {
+    let event = |signal| Event {
+        shard,
+        attempt,
+        signal,
+    };
+    let mut buf = [0_u8; 256];
+    loop {
+        let read = match stdout.read(&mut buf) {
+            Ok(0) => break,
+            Ok(read) => read,
+            Err(err) if err.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => break,
+        };
+        for _line in buf[..read].iter().filter(|&&byte| byte == b'\n') {
+            if events.send(event(Signal::Progress)).is_err() {
+                return;
+            }
+        }
+    }
+    // A supervisor that has already returned needs no exit event.
+    let _unheard = events.send(event(Signal::Exited));
+}
+
+/// Judges a worker by its exit status.
+fn finish(
     task: &mut ShardTask,
+    status: ExitStatus,
     config: &OrchestratorConfig,
     sink: &dyn MetricsSink,
 ) -> Result<(), OrchestratorError> {
-    let Slot::Running(run) = &mut task.slot else {
-        return Ok(());
-    };
-    match run.child.try_wait() {
-        Ok(Some(status)) if status.success() => accept_or_requeue(task, config, sink),
-        Ok(Some(_)) => {
-            // Dirty exit: whatever the atomic write-rename left behind
-            // is a valid prefix the next attempt resumes (requeue
-            // scrubs it if it is not).
-            requeue(task, config, sink)
-        }
-        Ok(None) => {
-            let now = Instant::now();
-            let len = file_len(&task.path);
-            if len != run.last_len {
-                run.last_len = len;
-                run.last_progress = now;
-            }
-            let stalled = now.duration_since(run.last_progress) > config.stall_timeout;
-            let overdue = now.duration_since(run.spawned_at) > config.shard_deadline;
-            if stalled || overdue {
-                if run.child.kill().is_ok() {
-                    sink.add(keys::SHARD_KILLED, 1);
-                }
-                let _reaped = run.child.wait();
-                requeue(task, config, sink)
-            } else {
-                Ok(())
-            }
-        }
-        Err(_) => {
-            if run.child.kill().is_ok() {
-                sink.add(keys::SHARD_KILLED, 1);
-            }
-            let _reaped = run.child.wait();
-            requeue(task, config, sink)
-        }
+    if status.success() {
+        accept_or_requeue(task, config, sink)
+    } else {
+        // Dirty exit: whatever the atomic write-rename left behind is
+        // a valid prefix the next attempt resumes (requeue scrubs it
+        // if it is not).
+        requeue(task, config, sink)
     }
 }
 
@@ -411,6 +600,17 @@ fn accept_or_requeue(
     }
 }
 
+/// The delay before re-issuing a shard that has had `attempts`
+/// workers: `backoff_base`, doubled for every attempt after the
+/// first, and never more than `backoff_cap`.
+fn backoff(config: &OrchestratorConfig, attempts: u32) -> Duration {
+    let shift = attempts.saturating_sub(1).min(16);
+    config
+        .backoff_base
+        .saturating_mul(1_u32 << shift)
+        .min(config.backoff_cap)
+}
+
 fn requeue(
     task: &mut ShardTask,
     config: &OrchestratorConfig,
@@ -424,13 +624,8 @@ fn requeue(
         });
     }
     sink.add(keys::SHARD_REISSUED, 1);
-    let shift = task.attempts.saturating_sub(1).min(16);
-    let backoff = config
-        .backoff_base
-        .saturating_mul(1_u32 << shift)
-        .min(config.backoff_cap);
     task.slot = Slot::Pending {
-        eligible_at: Instant::now() + backoff,
+        eligible_at: Instant::now() + backoff(config, task.attempts),
     };
     Ok(())
 }
@@ -450,21 +645,28 @@ fn scrub_invalid(task: &ShardTask, sink: &dyn MetricsSink) {
     }
 }
 
+/// Shoots a worker and reaps it; `SIGKILL` cannot be ignored, so the
+/// wait is short. A worker already reaped (a shard that exhausted its
+/// budget keeps its last, killed worker) is left alone: `Child::kill`
+/// reports success on it too, which would count a second kill.
+fn kill(run: &mut Running, sink: &dyn MetricsSink) {
+    if let Ok(Some(_)) = run.child.try_wait() {
+        return;
+    }
+    if run.child.kill().is_ok() {
+        sink.add(keys::SHARD_KILLED, 1);
+    }
+    let _reaped = run.child.wait();
+}
+
 /// Tears down every still-running worker after a fatal error so the
 /// coordinator never leaks processes.
 fn kill_all(tasks: &mut [ShardTask], sink: &dyn MetricsSink) {
     for task in tasks.iter_mut() {
         if let Slot::Running(run) = &mut task.slot {
-            if run.child.kill().is_ok() {
-                sink.add(keys::SHARD_KILLED, 1);
-            }
-            let _reaped = run.child.wait();
+            kill(run, sink);
         }
     }
-}
-
-fn file_len(path: &Path) -> u64 {
-    std::fs::metadata(path).map_or(0, |meta| meta.len())
 }
 
 #[cfg(test)]
@@ -501,6 +703,16 @@ mod tests {
             (
                 SweepCheckpoint::new(2, f64::NAN, 4, 1_000, 7),
                 config(1),
+                "out of range",
+            ),
+            (
+                SweepCheckpoint::new(2, 0.0, 4, 1_000, 7),
+                config(1),
+                "out of range",
+            ),
+            (
+                SweepCheckpoint::new(2, 1.0, usize::MAX, 1_000, 7),
+                config(2),
                 "out of range",
             ),
         ];
@@ -550,17 +762,27 @@ mod tests {
 
     #[test]
     fn backoff_is_exponential_and_capped() {
-        let cfg = config(1);
-        let base = cfg.backoff_base;
-        for (attempts, want) in [
-            (1_u32, base),
-            (2, base * 2),
-            (3, base * 4),
-            (40, cfg.backoff_cap),
+        let mut cfg = config(1);
+        cfg.backoff_base = Duration::from_millis(50);
+        cfg.backoff_cap = Duration::from_secs(1);
+        for (attempts, millis) in [
+            (0_u32, 50),
+            (1, 50),
+            (2, 100),
+            (3, 200),
+            (5, 800),
+            (6, 1_000),
+            (40, 1_000),
+            (u32::MAX, 1_000),
         ] {
-            let shift = attempts.saturating_sub(1).min(16);
-            let backoff = base.saturating_mul(1_u32 << shift).min(cfg.backoff_cap);
-            assert_eq!(backoff, want.min(cfg.backoff_cap), "attempts {attempts}");
+            assert_eq!(
+                backoff(&cfg, attempts),
+                Duration::from_millis(millis),
+                "attempts {attempts}"
+            );
         }
+        cfg.backoff_base = Duration::MAX;
+        cfg.backoff_cap = Duration::MAX;
+        assert_eq!(backoff(&cfg, 9), Duration::MAX, "the doubling saturates");
     }
 }

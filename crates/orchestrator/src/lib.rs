@@ -14,10 +14,16 @@
 //! 2. [`run_sweep`] spawns one worker process per shard (any binary
 //!    honoring the `nocomm-shard run` CLI, normally `nocomm-shard`
 //!    itself) and supervises them: per-shard deadlines, stall
-//!    detection by watching checkpoint growth, `SIGKILL` for hung
-//!    workers, and re-issue with a capped exponential backoff under a
-//!    respawn budget when a worker dies, stalls, or hands back a
-//!    corrupt file.
+//!    detection, `SIGKILL` for hung workers, and re-issue with a
+//!    capped exponential backoff under a respawn budget when a worker
+//!    dies, stalls, or hands back a corrupt file. Supervision is
+//!    event-driven, not polled: a worker prints one line to its
+//!    stdout per persisted point, a reader thread per worker turns
+//!    each line into a progress event and EOF into an exit event, and
+//!    the coordinator sleeps until the next event or the nearest
+//!    timer (backoff, stall timeout, deadline). A worker that prints
+//!    nothing for the stall timeout is hung. So a fault-free sweep
+//!    costs the spawns plus the slowest shard, with no poll quantum.
 //! 3. The completed shard checkpoints are merged
 //!    ([`simulator::SweepCheckpoint::merge_shards`]) into a document
 //!    *byte-identical* to what one uninterrupted process would have

@@ -178,3 +178,45 @@ fn the_supervision_ledger_balances_for_clean_runs() {
     assert_eq!(snap.shard_killed, 0);
     assert_eq!(snap.shard_corrupt, 0);
 }
+
+#[cfg(unix)]
+#[test]
+fn progress_lines_keep_a_slow_worker_alive_past_the_stall_timeout() {
+    let scratch = Scratch::new("slow-progress");
+    let baseline = single_process_document(&scratch);
+    // Each worker prints a line every 100 ms for 0.8 s before running
+    // the real shard: twice the stall timeout, but never silent for it.
+    let mut cfg = config(&scratch, 2);
+    cfg.worker = WorkerSpec {
+        program: PathBuf::from("/bin/sh"),
+        args: vec![
+            "-c".to_owned(),
+            "for i in 1 2 3 4 5 6 7 8; do echo .; sleep 0.1; done; exec \"$0\" \"$@\"".to_owned(),
+            env!("CARGO_BIN_EXE_nocomm-shard").to_owned(),
+        ],
+    };
+    cfg.stall_timeout = Duration::from_millis(400);
+    cfg.respawn_budget = 0;
+    let metrics = Arc::new(EngineMetrics::new());
+    let merged = run_sweep_with_metrics(&request(), &cfg, metrics.clone()).unwrap();
+    assert_eq!(merged.to_json(), baseline);
+    let snap = metrics.snapshot();
+    assert_eq!(snap.shard_killed, 0);
+    assert_eq!(snap.shard_reissued, 0);
+}
+
+#[test]
+fn worker_exits_wake_the_supervisor_before_any_timer() {
+    let scratch = Scratch::new("exit-wakes");
+    let baseline = single_process_document(&scratch);
+    // With every timer a minute away, only the workers' exits can end
+    // this sweep in time.
+    let mut cfg = config(&scratch, 3);
+    cfg.stall_timeout = Duration::from_mins(1);
+    cfg.shard_deadline = Duration::from_mins(2);
+    let start = std::time::Instant::now();
+    let merged = run_sweep(&request(), &cfg).unwrap();
+    let elapsed = start.elapsed();
+    assert_eq!(merged.to_json(), baseline);
+    assert!(elapsed < Duration::from_secs(20), "took {elapsed:?}");
+}

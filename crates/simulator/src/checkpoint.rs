@@ -89,7 +89,9 @@ pub struct SweepCheckpoint {
 impl SweepCheckpoint {
     /// A fresh (no points completed) checkpoint for the given sweep,
     /// stamped with the current
-    /// [`RNG_STREAM_VERSION`](crate::RNG_STREAM_VERSION).
+    /// [`RNG_STREAM_VERSION`](crate::RNG_STREAM_VERSION). A `grid` of
+    /// `usize::MAX` has no point count; the checkpoint is built anyway
+    /// and rejected as out of range by every consumer.
     #[must_use]
     pub fn new(n: usize, delta: f64, grid: usize, trials: u64, seed: u64) -> SweepCheckpoint {
         SweepCheckpoint {
@@ -100,7 +102,7 @@ impl SweepCheckpoint {
             trials,
             seed,
             shard_start: 0,
-            shard_points: grid + 1,
+            shard_points: grid.saturating_add(1),
             wins: Vec::new(),
         }
     }
@@ -131,7 +133,7 @@ impl SweepCheckpoint {
     /// proper shard of it.
     #[must_use]
     pub fn covers_whole_grid(&self) -> bool {
-        self.shard_start == 0 && self.shard_points == self.grid + 1
+        self.shard_start == 0 && self.grid.checked_add(1) == Some(self.shard_points)
     }
 
     /// Whether every covered grid point has completed.
@@ -445,6 +447,9 @@ impl SweepCheckpoint {
         if self.grid < 2 {
             return Err(corrupt("grid must be at least 2"));
         }
+        let Some(grid_points) = self.grid.checked_add(1) else {
+            return Err(corrupt("grid out of range"));
+        };
         if self.trials == 0 {
             return Err(corrupt("trials must be positive"));
         }
@@ -457,7 +462,7 @@ impl SweepCheckpoint {
         if self
             .shard_start
             .checked_add(self.shard_points)
-            .is_none_or(|end| end > self.grid + 1)
+            .is_none_or(|end| end > grid_points)
         {
             return Err(corrupt("shard extends past the end of the grid"));
         }
@@ -669,6 +674,15 @@ mod tests {
         let moved = off.to_json().replace("{\"k\": 3,", "{\"k\": 4,");
         let err = SweepCheckpoint::parse(&moved).unwrap_err();
         assert!(err.to_string().contains("shard start"), "{err}");
+        // A grid with no representable point count.
+        let huge = SweepCheckpoint::new(3, 1.0, usize::MAX, 60_000, 11);
+        assert!(!huge.covers_whole_grid());
+        let err = huge.validate_structure().unwrap_err();
+        assert!(err.to_string().contains("grid out of range"), "{err}");
+        let err = SweepCheckpoint::shard(3, 1.0, usize::MAX, 60_000, 11, 0, 1)
+            .validate_structure()
+            .unwrap_err();
+        assert!(err.to_string().contains("grid out of range"), "{err}");
     }
 
     #[test]

@@ -1,10 +1,11 @@
 #!/usr/bin/env sh
-# The full local gate, identical to .github/workflows/ci.yml:
-#   fmt -> static analyzer -> examples build -> tests (incl. doc-tests)
-#   -> tests with hard invariants -> benchmark-harness tests
+# The full local gate: the steps of .github/workflows/ci.yml, in its
+# order:
+#   fmt -> static analyzer -> clippy -> examples build -> tests
+#   -> doc-tests -> tests with hard invariants -> benchmark-harness tests
 #   -> bench smoke -> bench check
-#   -> metrics smoke -> shard smoke -> service smoke -> table check
-#   -> analyze smoke (runtime budget).
+#   -> metrics smoke -> chaos smoke -> shard smoke -> service smoke
+#   -> table check -> analyze smoke (runtime budget).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -14,6 +15,9 @@ cargo fmt --all --check
 
 echo "==> cargo xtask analyze"
 cargo run --package xtask --quiet -- analyze
+
+echo "==> cargo clippy"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo build (examples)"
 cargo build --workspace --examples
@@ -55,6 +59,17 @@ metrics_out="${TMPDIR:-/tmp}/engine_metrics.ci.json"
 cargo run --release --quiet --example engine_metrics -- --out "$metrics_out"
 cargo run --package xtask --quiet -- metrics-check "$metrics_out"
 rm -f "$metrics_out"
+
+echo "==> chaos smoke (chaos_smoke + chaos-check)"
+# Thread-level fault tolerance end to end: a seeded fault schedule
+# (worker deaths, failed batches) must leave the results bit-identical
+# and the recovery ledger nonzero. The fresh report and the committed
+# artifact must both satisfy the chaos-smoke checker.
+chaos_out="${TMPDIR:-/tmp}/chaos_smoke.ci.json"
+cargo run --release --quiet --example chaos_smoke -- --out "$chaos_out"
+cargo run --package xtask --quiet -- chaos-check "$chaos_out"
+cargo run --package xtask --quiet -- chaos-check results/chaos_smoke.json
+rm -f "$chaos_out"
 
 echo "==> shard smoke (nocomm-shard + shard-check)"
 # Proves crash-surviving orchestration end to end: a fault-free and a
