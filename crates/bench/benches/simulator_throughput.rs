@@ -33,7 +33,9 @@
 //! CI's bench-smoke step), `--quick` (short paired measurement to a
 //! scratch path for `cargo xtask bench-check`; CI's bench-check
 //! step). The full run rewrites
-//! `results/BENCH_simulator_throughput.json`.
+//! `results/BENCH_simulator_throughput.json` and asserts the floors
+//! it records: lane ≥ 4x dyn at n = 8, and every `lane` row ahead of
+//! its `kernel+buffered` row.
 
 use bench::{write_bench_json, PairedTiming};
 use criterion::black_box;
@@ -283,6 +285,18 @@ fn main() {
             lane_n8 >= 4.0,
             "lane kernel must be at least 4x over the v1 dyn baseline at n = 8, got {lane_n8:.2}x"
         );
+        // The lane kernel replaces the sequential one: it must win on
+        // every shape, coin-driven oblivious rules included.
+        for n in SIZES {
+            for family in ["threshold", "oblivious"] {
+                let lane = speedup_of(&format!("{family} n = {n} · lane"));
+                let kernel = speedup_of(&format!("{family} n = {n} · kernel+buffered"));
+                assert!(
+                    lane > kernel,
+                    "{family} n = {n}: lane {lane:.2}x does not beat kernel+buffered {kernel:.2}x"
+                );
+            }
+        }
         // Observability must be free: the metrics-enabled lane path
         // stays within 2% of the uninstrumented one at every size,
         // judged on the drift-free paired min-time ratio.

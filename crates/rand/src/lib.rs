@@ -190,6 +190,14 @@ pub mod counter {
     /// identical for every `L` (lane `j` depends only on its own
     /// counter column), which [`threefry4x64`] and the simulator's
     /// lane-invariance property tests pin down.
+    ///
+    /// Always inlined: the lane kernel consumes the returned block
+    /// word by word, so inlining lets the block stay in registers
+    /// instead of being returned through memory; a mere `#[inline]`
+    /// hint leaves that to codegen's discretion, which declines for a
+    /// body this large.
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
     #[must_use]
     pub fn threefry4x64_lanes<const L: usize>(
         key: &CounterKey,

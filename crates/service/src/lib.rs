@@ -7,7 +7,8 @@
 //! * [`wire`] — the workspace's `json` crate, re-exported: the one
 //!   parser and writer every artifact shares (newline-delimited
 //!   documents, bit-exact float round-trips); the server caps each
-//!   request line at [`server::MAX_REQUEST_BYTES`];
+//!   request line at [`server::MAX_REQUEST_BYTES`] and live
+//!   connections at [`server::MAX_CONNECTIONS`];
 //! * [`query`] — the typed protocol (`nocomm-service/v1`): requests
 //!   `pwin`, `optimal`, `sweep`, `sweep_mc`, `shards`, `threshold`,
 //!   `simulate`, `shutdown`, and responses that carry an

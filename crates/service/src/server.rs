@@ -1,7 +1,8 @@
 //! The TCP daemon: newline-delimited JSON queries over long-lived
 //! connections.
 //!
-//! One acceptor thread plus one thread per connection. Analytic
+//! One acceptor thread plus one thread per connection, at most
+//! [`MAX_CONNECTIONS`] at once. Analytic
 //! queries are answered through the shared [`AnalyticCache`];
 //! Monte-Carlo queries are retargeted onto **one** persistent worker
 //! pool (`Simulation::retargeted` shares the pool across every
@@ -431,6 +432,11 @@ impl Drop for Service {
 /// Accepts until shutdown. Connections arriving in the shutdown
 /// window are dropped unanswered; once the loop returns and the
 /// listener drops, connects are refused by the OS.
+///
+/// Each accept first reaps the handles of connection threads that
+/// have exited, so the handle list tracks live connections rather
+/// than every connection ever accepted. A connection beyond
+/// [`MAX_CONNECTIONS`] live ones gets one error line and a hang-up.
 fn accept_loop(
     listener: &TcpListener,
     shared: &Arc<Shared>,
@@ -441,9 +447,24 @@ fn accept_loop(
         if shared.shutting_down() {
             return;
         }
-        let Ok((stream, _peer)) = accepted else {
+        let Ok((mut stream, _peer)) = accepted else {
             continue;
         };
+        let (live, exited) = {
+            let mut handles = connections.lock().unwrap_or_else(PoisonError::into_inner);
+            let exited: Vec<JoinHandle<()>> = handles
+                .extract_if(.., |handle| handle.is_finished())
+                .collect();
+            (handles.len(), exited)
+        };
+        for handle in exited {
+            drop(handle.join()); // already exited: returns at once
+        }
+        if live >= MAX_CONNECTIONS {
+            let error = format!("connection limit of {MAX_CONNECTIONS} reached");
+            send(&mut stream, &shared.error_response(error));
+            continue; // dropping the stream hangs up
+        }
         let worker = {
             let shared = shared.clone();
             thread::Builder::new()
@@ -459,6 +480,12 @@ fn accept_loop(
             .push(handle);
     }
 }
+
+/// The most connections the daemon serves at once. Each one costs a
+/// thread, so the cap bounds the daemon's threads and sockets the way
+/// [`MAX_REQUEST_BYTES`] bounds a connection's buffer; a connection
+/// beyond it is answered with an error and disconnected.
+pub const MAX_CONNECTIONS: usize = 256;
 
 /// The longest request line a connection may send, newline included.
 /// The bytes a connection has buffered toward its current line count

@@ -2,12 +2,15 @@
 //! newline is answered with an error and disconnected once it passes
 //! [`MAX_REQUEST_BYTES`], and the daemon keeps serving other clients;
 //! a line that is not UTF-8 is answered with an error on a connection
-//! that stays open.
+//! that stays open. Connections beyond [`MAX_CONNECTIONS`] live ones
+//! get one error line and a hang-up, and closing a connection frees
+//! its slot.
 
-use service::server::MAX_REQUEST_BYTES;
+use service::server::{MAX_CONNECTIONS, MAX_REQUEST_BYTES};
 use service::{Client, Outcome, Request, Response, RuleSpec, Service, ServiceConfig};
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
 
 fn pwin() -> Request {
     Request::PWin {
@@ -78,5 +81,57 @@ fn non_utf8_line_is_an_error_and_the_connection_stays_up() {
     line.clear();
     reader.read_line(&mut line).expect("answer");
     assert_pwin_answer(&Response::parse(&line).expect("a protocol response"));
+    daemon.shutdown();
+}
+
+/// Connects past the cap: the daemon must answer with one error line
+/// and hang up without reading a request.
+fn assert_refused(addr: SocketAddr) {
+    let stream = TcpStream::connect(addr).expect("connect");
+    // A served connection would wait for a request forever.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("error line");
+    let message = Response::parse(&line)
+        .expect("a protocol response")
+        .outcome
+        .expect_err("a connection over the cap must be refused");
+    assert!(message.contains("connection limit"), "{message}");
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).expect("hang-up"), 0, "{line}");
+}
+
+#[test]
+fn connections_beyond_the_cap_are_refused_and_closing_one_frees_a_slot() {
+    let daemon = Service::start(ServiceConfig::default()).expect("daemon start");
+    let addr = daemon.local_addr();
+    // Fill every slot; a round trip on each proves it is served.
+    let mut held: Vec<Client> = (0..MAX_CONNECTIONS)
+        .map(|_| Client::connect(addr).expect("connect"))
+        .collect();
+    for client in &mut held {
+        assert_pwin_answer(&client.roundtrip(pwin()).expect("served under the cap"));
+    }
+    assert_refused(addr);
+    // The refusal did not disturb the connections being served.
+    assert_pwin_answer(&held[0].roundtrip(pwin()).expect("still served"));
+
+    // Closing a connection frees its slot once its thread sees EOF
+    // (within a poll tick); until then new connections are refused.
+    drop(held.pop());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let response = loop {
+        let served = Client::connect(addr).and_then(|mut client| client.roundtrip(pwin()));
+        match served {
+            Ok(response) => break response,
+            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(10)),
+            Err(e) => panic!("no slot freed after a connection closed: {e}"),
+        }
+    };
+    assert_pwin_answer(&response);
+    drop(held);
     daemon.shutdown();
 }

@@ -32,38 +32,51 @@
 //!   shared across different fault rates — use it to compare
 //!   `p_crash` settings variance-free. Runs with `p_crash > 0` are
 //!   bit-identical in both modes.
-//! * **v3** (current): hinted rules default to the **lane kernel** on
-//!   a counter-based Threefry generator. Draw `d` of trial `t` in
-//!   batch `i` is a pure function of `(seed, i, t, d)` — addressed,
-//!   not streamed — with the same per-trial draw *layout* as v2
-//!   (input, coin, and a fault coin only when it would be drawn), so
-//!   both [`FaultStream`] modes keep their v2 semantics. Because
-//!   trials no longer share a serialized generator, `LANES` trials
-//!   fill per inner step and lane width, thread count, batch
-//!   schedule, chaos replay, and checkpoint resume are all invariant
-//!   *by construction*. Opaque rules and [`Simulation::run_dyn`]
-//!   still run the exact v2 sequential stream, and
-//!   [`KernelStream::Sequential`] opts a hinted rule back onto it —
-//!   that is the bit-exact bridge the equivalence tests pin.
+//! * **v3** (superseded by v4): hinted rules default to the **lane
+//!   kernel** on a counter-based Threefry generator. Draw `d` of
+//!   trial `t` in batch `i` is a pure function of `(seed, i, t, d)` —
+//!   addressed, not streamed — with the same per-trial draw *layout*
+//!   as v2 (input, coin, and a fault coin only when it would be
+//!   drawn), so both [`FaultStream`] modes keep their v2 semantics.
+//!   Because trials no longer share a serialized generator, `LANES`
+//!   trials advance per inner step and lane width, thread count,
+//!   batch schedule, chaos replay, and checkpoint resume are all
+//!   invariant *by construction*. Opaque rules and
+//!   [`Simulation::run_dyn`] still run the exact v2 sequential
+//!   stream, and [`KernelStream::Sequential`] opts a hinted rule back
+//!   onto it — that is the bit-exact bridge the equivalence tests
+//!   pin.
+//! * **v4** (current): **v4 draws are exactly v3's** — same counter
+//!   addresses `[batch, trial, kind << 32 | k, domain]`, same words,
+//!   same accumulation order, so every estimate and every v3 golden
+//!   is unchanged. What changed is the lane loop's shape: v3 filled
+//!   every plane of a lane group into a per-batch row buffer and then
+//!   copied each player's row back out; v4's `run_lane_batch`
+//!   consumes each Threefry block in registers as soon as it is
+//!   computed (the bijection is always inlined), with no scratch and
+//!   no allocation per batch. The bump records that the
+//!   stream-critical functions were rewritten (the fingerprint gate
+//!   requires it), not that any draw moved.
 //!
 //! Consequently, same-version estimates are bit-for-bit reproducible
 //! across thread counts, batch schedules, pool reuse, lane widths,
 //! buffered vs scalar sampling, and dyn vs monomorphized dispatch —
-//! but a v3 hinted estimate differs from the v2 estimate for the
+//! but a v3/v4 hinted estimate differs from the v2 estimate for the
 //! same seed (and v2 crash-free differed from v1). The expectation
-//! tests below were re-pinned against v3 deliberately.
+//! tests below were re-pinned against v3 deliberately and hold
+//! unchanged at v4.
 
 use crate::chaos::{self, ChaosPlan, ChaosUnwind, FaultKind};
 use crate::kernel::{
-    BufferedUniforms, GenericKernel, Kernel, LaneKernel, LaneUniforms, ObliviousKernel,
-    ScalarUniforms, ThresholdKernel, UniformSource,
+    BufferedUniforms, DrawKind, GenericKernel, Kernel, LaneKernel, ObliviousKernel, ScalarUniforms,
+    ThresholdKernel, UniformSource, KIND_SHIFT, LANE_STREAM_DOMAIN,
 };
 use crate::metrics::keys;
 use crate::pool::{Job, PoolConfig, WorkerPool};
 use crate::{SimulationError, SimulationReport};
 use decision::{Bin, KernelHint, LocalRule};
 use obs::{Deadline, MetricsSink, NoopSink};
-use rand::counter::CounterKey;
+use rand::counter::{threefry4x64_lanes, word_to_unit, CounterKey};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::marker::PhantomData;
@@ -73,7 +86,7 @@ use std::time::Duration;
 
 /// Version of the per-batch RNG stream shape (see the
 /// [module docs](self) for the history).
-pub const RNG_STREAM_VERSION: u32 = 3;
+pub const RNG_STREAM_VERSION: u32 = 4;
 
 /// Default trials per batch; shared with the instrumented
 /// [`load_stats`](crate::load_stats) loop so its stream stays
@@ -114,7 +127,8 @@ pub enum FaultStream {
 /// registers of lanes per Threefry word gives the round ladder's
 /// serial add–rotate–xor chains a second independent instruction
 /// stream to overlap (measurably ahead of `W8` on the reference
-/// container), while the per-group scratch still fits in L1.
+/// container), while the block being consumed still fits in the
+/// vector register file.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum LaneWidth {
     /// One trial per step — the scalar instantiation the invariance
@@ -222,8 +236,9 @@ pub(crate) struct BatchTotals {
     /// Buffer refills performed by the uniform source (zero on the
     /// counter-addressed lane path, which has no buffer).
     pub(crate) refills: u64,
-    /// Threefry blocks computed by the lane path (zero on the
-    /// sequential paths).
+    /// `L`-wide lane blocks computed by the lane path, each `L`
+    /// scalar Threefry blocks (zero on the sequential paths; see
+    /// [`keys::RNG_LANE_BLOCKS`]).
     pub(crate) lane_blocks: u64,
     /// Batches executed.
     pub(crate) batches: u64,
@@ -1155,22 +1170,30 @@ pub(crate) fn lane_key(seed: u64) -> CounterKey {
 /// (lanes) per inner step. Monomorphized over the kernel and the lane
 /// width.
 ///
-/// The loop is branch-free per player: the decision and the crash
+/// Trial `t`'s uniform `(kind, p)` is word `p mod 4` of the Threefry
+/// block at counter `[batch, t, kind · 2³² + p / 4,
+/// LANE_STREAM_DOMAIN]` ([`lane_draw`] replays one). For each lane
+/// group and each player block `k`, the loop computes the input block
+/// for all `L` trials at once, plus the coin block only when the
+/// kernel reads coins ([`LaneKernel::USES_COINS`]) and the fault
+/// block only under [`TrialParams::draw_fault`] — so both
+/// [`FaultStream`] modes keep their semantics while e.g. a threshold
+/// rule's crash-free run evaluates one block per four players. The
+/// block's words are converted and folded into the bin sums of its
+/// (at most four) players right away: no uniform is stored, no row
+/// is copied, and the batch allocates nothing.
+///
+/// The fold is branch-free per player: the decision and the crash
 /// outcome become `{0.0, 1.0}` masks and both bin sums accumulate
 /// `mask × input`. That is bit-identical to the branchy form — the
 /// masks multiply `input ≥ 0` by exactly `1.0` or `0.0`, and adding
 /// `+0.0` to a non-negative sum is the identity — which the lane
-/// tests pin against a scalar branchy replay. Trial `t`'s draws are
-/// addressed as `(batch, t, kind, player)` in kind-separated planes,
-/// and only the planes the run consumes are generated: inputs
-/// always, coins only when the kernel reads them
-/// ([`LaneKernel::USES_COINS`]), fault coins only under
-/// [`TrialParams::draw_fault`] — so both [`FaultStream`] modes keep
-/// their semantics while e.g. a threshold rule's crash-free run
-/// evaluates half the Threefry blocks an interleaved layout would.
-/// Tail lanes past the batch's trial count are computed and
-/// discarded — counter addressing makes the waste harmless and the
-/// loop shape uniform.
+/// tests pin against a scalar branchy replay. Players are folded in
+/// ascending order, as the replay does. Tail lanes past the batch's
+/// trial count are computed and discarded — counter addressing makes
+/// the waste harmless and the loop shape uniform.
+///
+/// [`lane_draw`]: crate::kernel::lane_draw
 fn run_lane_batch<K: LaneKernel, const L: usize>(
     kernel: &K,
     params: TrialParams,
@@ -1183,45 +1206,59 @@ fn run_lane_batch<K: LaneKernel, const L: usize>(
     let start = batch * params.batch_size;
     let count = params.batch_size.min(params.trials - start);
     let n = kernel.players();
+    let key = lane_key(params.seed);
     let per_player = if params.draw_fault { 3 } else { 2 };
-    let mut uniforms = LaneUniforms::<L>::new(
-        lane_key(params.seed),
-        batch,
-        n,
-        K::USES_COINS,
-        params.draw_fault,
-    );
+    let planes = 1 + u64::from(K::USES_COINS) + u64::from(params.draw_fault);
+    let blocks = n.div_ceil(4);
     let mut wins = 0u64;
-    let mut groups = 0u64;
     let mut trial0 = 0u64;
     while trial0 < count {
-        uniforms.fill(trial0);
-        groups += 1;
+        let mut ctr = [[batch; L], [0; L], [0; L], [LANE_STREAM_DOMAIN; L]];
+        for (j, trial) in ctr[1].iter_mut().enumerate() {
+            *trial = trial0 + j as u64;
+        }
         let mut sum0 = [0.0f64; L];
         let mut sum1 = [0.0f64; L];
-        for player in 0..n {
-            let input = uniforms.input(player);
+        for k in 0..blocks {
+            let plane = |kind: DrawKind| [((kind as u64) << KIND_SHIFT) | k as u64; L];
+            ctr[2] = plane(DrawKind::Input);
+            let inputs = threefry4x64_lanes::<L>(&key, &ctr);
             // Coin-blind kernels get a constant placeholder their
             // `sends_to_zero` never reads (USES_COINS contract).
-            let coin = if K::USES_COINS {
-                uniforms.coin(player)
+            let coins = if K::USES_COINS {
+                ctr[2] = plane(DrawKind::Coin);
+                threefry4x64_lanes::<L>(&key, &ctr)
             } else {
-                [0.0; L]
+                [[0; L]; 4]
             };
+            let first = 4 * k;
+            let words = (n - first).min(4);
             if params.draw_fault {
-                let fault = uniforms.fault(player);
-                for j in 0..L {
-                    let live = f64::from(u8::from(fault[j] >= params.p_crash));
-                    let zero =
-                        f64::from(u8::from(kernel.sends_to_zero(player, input[j], coin[j]))) * live;
-                    sum0[j] += zero * input[j];
-                    sum1[j] += (live - zero) * input[j];
+                ctr[2] = plane(DrawKind::Fault);
+                let faults = threefry4x64_lanes::<L>(&key, &ctr);
+                for w in 0..words {
+                    for j in 0..L {
+                        let input = word_to_unit(inputs[w][j]);
+                        let coin = word_to_unit(coins[w][j]);
+                        let fault = word_to_unit(faults[w][j]);
+                        let live = f64::from(u8::from(fault >= params.p_crash));
+                        let zero =
+                            f64::from(u8::from(kernel.sends_to_zero(first + w, input, coin)))
+                                * live;
+                        sum0[j] += zero * input;
+                        sum1[j] += (live - zero) * input;
+                    }
                 }
             } else {
-                for j in 0..L {
-                    let zero = f64::from(u8::from(kernel.sends_to_zero(player, input[j], coin[j])));
-                    sum0[j] += zero * input[j];
-                    sum1[j] += (1.0 - zero) * input[j];
+                for w in 0..words {
+                    for j in 0..L {
+                        let input = word_to_unit(inputs[w][j]);
+                        let coin = word_to_unit(coins[w][j]);
+                        let zero =
+                            f64::from(u8::from(kernel.sends_to_zero(first + w, input, coin)));
+                        sum0[j] += zero * input;
+                        sum1[j] += (1.0 - zero) * input;
+                    }
                 }
             }
         }
@@ -1239,7 +1276,7 @@ fn run_lane_batch<K: LaneKernel, const L: usize>(
         // stream consumption — nothing downstream ever sees it).
         draws: count * (n as u64) * per_player as u64,
         refills: 0,
-        lane_blocks: groups * uniforms.blocks_per_group(),
+        lane_blocks: count.div_ceil(L as u64) * blocks as u64 * planes,
         batches: 1,
     }
 }
@@ -1256,14 +1293,16 @@ pub(crate) fn splitmix(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::lane_draw;
     use decision::{ObliviousAlgorithm, SingleThresholdAlgorithm};
     use rational::Rational;
 
     #[test]
     fn stream_version_is_pinned() {
         // Bump deliberately (with the module-docs history updated)
-        // whenever the per-trial uniform consumption changes.
-        assert_eq!(RNG_STREAM_VERSION, 3);
+        // whenever a stream-critical fn changes (v4: same draws as
+        // v3, fused lane loop).
+        assert_eq!(RNG_STREAM_VERSION, 4);
     }
 
     #[test]
@@ -1462,6 +1501,83 @@ mod tests {
                     assert_eq!(r, base, "width {width:?}, p_crash {p_crash}");
                 }
             }
+        }
+    }
+
+    /// The branchy scalar reference for one lane batch: every draw
+    /// replayed one block at a time through `lane_draw`, every
+    /// decision through [`Kernel::decide`], crashed players skipped
+    /// with `continue` — the shape of the sequential loop, on the
+    /// counter-addressed stream.
+    fn replay_lane_batch<K: Kernel>(kernel: &K, params: TrialParams, batch: u64) -> u64 {
+        let key = lane_key(params.seed);
+        let count = params
+            .batch_size
+            .min(params.trials - batch * params.batch_size);
+        let mut wins = 0;
+        for trial in 0..count {
+            let mut sums = [0.0f64; 2];
+            for player in 0..kernel.players() {
+                let draw = |kind| lane_draw(&key, batch, trial, kind, player);
+                if params.draw_fault && draw(DrawKind::Fault) < params.p_crash {
+                    continue;
+                }
+                let input = draw(DrawKind::Input);
+                match kernel.decide(player, input, draw(DrawKind::Coin)) {
+                    Bin::Zero => sums[0] += input,
+                    Bin::One => sums[1] += input,
+                }
+            }
+            wins += u64::from(sums[0] <= params.delta && sums[1] <= params.delta);
+        }
+        wins
+    }
+
+    #[test]
+    fn lane_batches_match_a_branchy_scalar_replay() {
+        // The fused lane loop — blocks consumed in registers, masks
+        // instead of branches — must count exactly the wins of the
+        // scalar replay, at every width, for both hinted kernels,
+        // with and without fault draws. Five players leave the second
+        // block of every plane partly unused; 237 trials in batches
+        // of 160 leave a 77-trial tail batch, a multiple of neither 8
+        // nor 16.
+        fn check<K: LaneKernel, const L: usize>(kernel: &K, params: TrialParams) -> u64 {
+            let mut wins = 0;
+            for batch in 0..params.trials.div_ceil(params.batch_size) {
+                let lane = run_lane_batch::<K, L>(kernel, params, batch).wins;
+                let replay = replay_lane_batch(kernel, params, batch);
+                assert_eq!(
+                    lane, replay,
+                    "L={L} batch {batch} p_crash {}",
+                    params.p_crash
+                );
+                wins += lane;
+            }
+            wins
+        }
+        fn all_widths<K: LaneKernel>(kernel: &K, params: TrialParams) {
+            let wins = check::<K, 1>(kernel, params);
+            assert_eq!(check::<K, 8>(kernel, params), wins);
+            assert_eq!(check::<K, 16>(kernel, params), wins);
+            // Neither all nor nothing: the comparison has teeth.
+            assert!(0 < wins && wins < params.trials, "wins {wins}");
+        }
+        let threshold = ThresholdKernel::new(vec![0.55, 0.7, 0.4, 0.62, 0.9]);
+        let oblivious = ObliviousKernel::new(vec![0.5, 0.3, 0.8, 0.45, 0.6]);
+        // (p_crash, draw_fault): crash-free, crash-free under common
+        // random numbers (fault plane drawn, never fires), crashing.
+        for (p_crash, draw_fault) in [(0.0, false), (0.0, true), (0.3, true)] {
+            let params = TrialParams {
+                seed: 17,
+                trials: 237,
+                batch_size: 160,
+                delta: 5.0 / 3.0,
+                p_crash,
+                draw_fault,
+            };
+            all_widths(&threshold, params);
+            all_widths(&oblivious, params);
         }
     }
 

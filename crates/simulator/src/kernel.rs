@@ -21,14 +21,18 @@
 //!
 //! The stream-v3 lane layer sits beside them: a [`LaneKernel`] is a
 //! branch-free view of a hinted kernel (the decision as a mask rather
-//! than a [`Bin`]), and [`LaneUniforms`] addresses uniforms by
-//! `(batch, trial, draw)` on the counter-based Threefry generator —
-//! no sequential stream at all, so `LANES` trials fill in one
-//! elementwise sweep and every lane width produces bit-identical
-//! results by construction (see the engine module docs, stream v3).
+//! than a [`Bin`]), and uniforms are addressed by
+//! `(batch, trial, kind, player)` on the counter-based Threefry
+//! generator ([`DrawKind`], [`LANE_STREAM_DOMAIN`]) — no sequential
+//! stream at all. The engine's lane loop computes each counter block
+//! for `LANES` trials at once and consumes its words in registers as
+//! it goes; there is no uniform buffer on that path. Each draw is a
+//! pure function of its coordinates, so every lane width produces
+//! bit-identical results by construction, and [`lane_draw`] replays
+//! any single draw (see the engine module docs, streams v3 and v4).
 
 use decision::{Bin, LocalRule};
-use rand::counter::{threefry4x64, threefry4x64_lanes, word_to_unit, CounterKey};
+use rand::counter::{threefry4x64, word_to_unit, CounterKey};
 use rand::rngs::StdRng;
 use rand::{unit_f64, Rng};
 
@@ -298,123 +302,16 @@ pub(crate) enum DrawKind {
 /// Shift positioning the kind tag above any realistic player-block
 /// index in counter word 2: planes of different kinds can never
 /// collide.
-const KIND_SHIFT: u32 = 32;
+pub(crate) const KIND_SHIFT: u32 = 32;
 
-/// The stream-v3 uniform source: draws addressed by
-/// `(batch, trial, kind, player)` on the Threefry counter generator,
-/// filled `L` trials (lanes) at a time.
+/// Scalar stream-v3 replay: uniform `(kind, player)` of trial `trial`
+/// in batch `batch`.
 ///
 /// Uniform `(kind, p)` of trial `t` is word `p mod 4` of the block at
 /// counter `[batch, t, kind · 2³² + p / 4, LANE_STREAM_DOMAIN]` — a
-/// pure function of the key and the draw's own coordinates. Lane `j`
-/// of a wide fill and a scalar [`lane_draw`] therefore produce
-/// identical bits, which is what makes lane-width, thread-count, and
-/// replay invariance structural rather than bookkept.
-///
-/// The plane scratch (players rounded up to whole blocks, times the
-/// planes requested at construction, lane-major) is allocated once
-/// per batch in [`LaneUniforms::new`]; [`LaneUniforms::fill`] and the
-/// row accessors are allocation-free, which the `hot-path-alloc`
-/// analysis enforces.
-pub(crate) struct LaneUniforms<const L: usize> {
-    key: CounterKey,
-    batch: u64,
-    /// Player count rounded up to whole 4-word blocks: rows per
-    /// plane.
-    padded: usize,
-    /// The planes this source generates, in row order.
-    kinds: [Option<DrawKind>; 3],
-    /// `rows[plane · padded + p][j]` is uniform `(kind, p)` of lane
-    /// `j`'s trial after a fill.
-    rows: Vec<[f64; L]>,
-}
-
-impl<const L: usize> LaneUniforms<L> {
-    /// A source for one batch generating the input plane, plus the
-    /// coin and fault planes on request.
-    pub(crate) fn new(
-        key: CounterKey,
-        batch: u64,
-        players: usize,
-        coins: bool,
-        faults: bool,
-    ) -> LaneUniforms<L> {
-        let kinds = [
-            Some(DrawKind::Input),
-            coins.then_some(DrawKind::Coin),
-            faults.then_some(DrawKind::Fault),
-        ];
-        let padded = players.div_ceil(4) * 4;
-        let planes = 1 + usize::from(coins) + usize::from(faults);
-        LaneUniforms {
-            key,
-            batch,
-            padded,
-            kinds,
-            rows: vec![[0.0; L]; padded * planes],
-        }
-    }
-
-    /// Number of Threefry blocks one fill computes (per lane group).
-    pub(crate) fn blocks_per_group(&self) -> u64 {
-        (self.rows.len() / 4) as u64
-    }
-
-    /// Fills every generated plane for the lane group whose first
-    /// trial is `trial0`: lane `j` holds the draws of trial
-    /// `trial0 + j`.
-    #[inline]
-    pub(crate) fn fill(&mut self, trial0: u64) {
-        // `new` sized `rows` as one `padded` chunk per generated kind,
-        // so the zip is exact.
-        let planes = self.rows.chunks_exact_mut(self.padded);
-        for (kind, plane) in self.kinds.into_iter().flatten().zip(planes) {
-            for (k, rows) in plane.chunks_exact_mut(4).enumerate() {
-                let mut trials = [0u64; L];
-                for (j, trial) in trials.iter_mut().enumerate() {
-                    *trial = trial0 + j as u64;
-                }
-                let ctr = [
-                    [self.batch; L],
-                    trials,
-                    [((kind as u64) << KIND_SHIFT) | k as u64; L],
-                    [LANE_STREAM_DOMAIN; L],
-                ];
-                let block = threefry4x64_lanes::<L>(&self.key, &ctr);
-                for (row, word) in rows.iter_mut().zip(block) {
-                    for j in 0..L {
-                        row[j] = word_to_unit(word[j]);
-                    }
-                }
-            }
-        }
-    }
-
-    /// The filled input row of `player` (one `[f64; L]` copy).
-    #[inline]
-    pub(crate) fn input(&self, player: usize) -> [f64; L] {
-        self.rows[player]
-    }
-
-    /// The filled coin row of `player`. The coin plane must have been
-    /// requested at construction (it is always the second plane).
-    #[inline]
-    pub(crate) fn coin(&self, player: usize) -> [f64; L] {
-        debug_assert_eq!(self.kinds[1], Some(DrawKind::Coin));
-        self.rows[self.padded + player]
-    }
-
-    /// The filled fault-coin row of `player` (always the last plane).
-    #[inline]
-    pub(crate) fn fault(&self, player: usize) -> [f64; L] {
-        debug_assert_eq!(self.kinds[2], Some(DrawKind::Fault));
-        self.rows[self.rows.len() - self.padded + player]
-    }
-}
-
-/// Scalar stream-v3 replay: uniform `(kind, player)` of trial `trial`
-/// in batch `batch`, bit-identical to lane `j = trial − trial0` of a
-/// wide [`LaneUniforms::fill`]. This is what `load_stats` and the
+/// pure function of the key and the draw's own coordinates, so this
+/// is bit-identical to what the engine's lane loop reads for trial
+/// `t` at any lane width. This is what `load_stats` and the
 /// invariance tests rebuild engine streams from — one block per call,
 /// so it is replay-grade, not hot-loop-grade.
 pub(crate) fn lane_draw(
@@ -435,71 +332,6 @@ mod tests {
     use decision::{ObliviousAlgorithm, SingleThresholdAlgorithm};
     use rand::SeedableRng;
     use rational::Rational;
-
-    #[test]
-    fn lane_rows_match_scalar_replay() {
-        // Every (lane width, lane, kind, player) coordinate of a wide
-        // fill equals the scalar lane_draw at the same coordinates —
-        // the property the whole v3 design rests on.
-        fn check<const L: usize>() {
-            let key = CounterKey::from_seed(123);
-            let mut lanes = LaneUniforms::<L>::new(key, 9, 6, true, true);
-            lanes.fill(40);
-            for player in 0..6 {
-                let rows = [
-                    (DrawKind::Input, lanes.input(player)),
-                    (DrawKind::Coin, lanes.coin(player)),
-                    (DrawKind::Fault, lanes.fault(player)),
-                ];
-                for (kind, row) in rows {
-                    for (j, &value) in row.iter().enumerate() {
-                        assert_eq!(
-                            value,
-                            lane_draw(&key, 9, 40 + j as u64, kind, player),
-                            "L={L} lane {j} {kind:?} player {player}"
-                        );
-                    }
-                }
-            }
-        }
-        check::<1>();
-        check::<8>();
-        check::<16>();
-    }
-
-    #[test]
-    fn skipped_planes_leave_generated_planes_unchanged() {
-        // The input plane's bits do not depend on which other planes
-        // the source generates — planes live in disjoint counter
-        // ranges.
-        let key = CounterKey::from_seed(77);
-        let mut all = LaneUniforms::<8>::new(key, 3, 5, true, true);
-        let mut input_only = LaneUniforms::<8>::new(key, 3, 5, false, false);
-        let mut with_faults = LaneUniforms::<8>::new(key, 3, 5, false, true);
-        all.fill(8);
-        input_only.fill(8);
-        with_faults.fill(8);
-        for player in 0..5 {
-            assert_eq!(all.input(player), input_only.input(player));
-            assert_eq!(all.input(player), with_faults.input(player));
-            assert_eq!(all.fault(player), with_faults.fault(player));
-        }
-    }
-
-    #[test]
-    fn lane_draws_are_pure_in_their_coordinates() {
-        let key = CounterKey::from_seed(5);
-        // Refilling at a different group start must reproduce a
-        // trial's draws wherever the trial lands in the group.
-        let mut a = LaneUniforms::<8>::new(key, 2, 8, true, false);
-        let mut b = LaneUniforms::<8>::new(key, 2, 8, true, false);
-        a.fill(16); // trial 19 is lane 3
-        b.fill(19); // trial 19 is lane 0
-        for player in 0..8 {
-            assert_eq!(a.input(player)[3], b.input(player)[0], "player {player}");
-            assert_eq!(a.coin(player)[3], b.coin(player)[0], "player {player}");
-        }
-    }
 
     #[test]
     fn lane_kernels_agree_with_decide() {

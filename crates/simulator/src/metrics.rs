@@ -83,8 +83,11 @@ pub mod keys {
     /// never refill, and the lane path reports zero — see
     /// [`RNG_LANE_BLOCKS`]).
     pub const RNG_REFILLS: &str = "rng.refills";
-    /// Threefry-4×64 counter blocks evaluated by the lane kernel
-    /// (counter; each block yields four uniforms per lane).
+    /// Lane blocks evaluated by the lane kernel (counter). One count
+    /// is one `L`-wide lane block — a single `threefry4x64_lanes::<L>`
+    /// call, i.e. `L` scalar Threefry-4×64 blocks, one per trial of
+    /// the lane group — yielding four uniforms per lane. Multiply by
+    /// the lane width for scalar-block work.
     pub const RNG_LANE_BLOCKS: &str = "rng.lane_blocks";
     /// Jobs executed by pool workers (counter).
     pub const POOL_JOBS: &str = "pool.jobs";

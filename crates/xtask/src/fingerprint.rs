@@ -33,7 +33,8 @@ const VERSION_FILE: &str = "crates/simulator/src/engine.rs";
 /// `(path, qualified fn)` pairs whose token streams determine the RNG
 /// stream: the generator cores (sequential xoshiro and the stream-v3
 /// Threefry counter pipeline), the per-batch seeding and keying, the
-/// draw loops, and every uniform source. Growing this list is cheap;
+/// draw loops (the lane loop computes its counter blocks itself), and
+/// every uniform source. Growing this list is cheap;
 /// every entry is one more function that cannot drift silently.
 pub const CRITICAL_FNS: &[(&str, &str)] = &[
     ("crates/rand/src/lib.rs", "splitmix64"),
@@ -61,7 +62,6 @@ pub const CRITICAL_FNS: &[(&str, &str)] = &[
         "crates/simulator/src/kernel.rs",
         "BufferedUniforms::next_unit",
     ),
-    ("crates/simulator/src/kernel.rs", "LaneUniforms::fill"),
     ("crates/simulator/src/kernel.rs", "lane_draw"),
 ];
 

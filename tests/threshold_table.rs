@@ -3,9 +3,14 @@
 //! the daemon's loader, satisfy the published width contract, and —
 //! at small `n`, where the exact rational pipeline is independent
 //! ground truth — enclose the exactly-certified `β*_n` and `P*_n`.
+//! At every `n`, a Monte-Carlo run at the certified `β*_n` must land
+//! on the certified `P*_n`.
 
 use nocomm::decision::certified::{self, ThresholdTable, WIDTH_TARGET};
+use nocomm::decision::SingleThresholdAlgorithm;
+use nocomm::rational::Rational;
 use nocomm::service::load_threshold_table;
+use nocomm::simulator::Simulation;
 
 fn committed_table() -> ThresholdTable {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/threshold_table.json");
@@ -68,4 +73,39 @@ fn committed_n3_row_matches_the_papadimitriou_yannakakis_value() {
     let beta_star = 1.0 - (1.0f64 / 7.0).sqrt();
     assert!(row.beta_lo <= beta_star && beta_star <= row.beta_hi);
     assert!(row.p_lo > 0.544 && row.p_hi < 0.546);
+}
+
+#[test]
+fn monte_carlo_at_every_certified_optimum_lands_in_its_enclosure() {
+    // Closed loop over three independent numeric paths: the exact
+    // rational and `Ball` certification that produced each row, and
+    // the Monte-Carlo lane kernel. A symmetric threshold rule at the
+    // row's β* midpoint, simulated at δ = n/3, must estimate P*_n
+    // within 5σ plus the row's own half-width of `[p_lo, p_hi]`. The
+    // midpoint is within 5e-10 of β*_n, where P' = 0, so the rule's
+    // true winning probability is P*_n to far below σ. The trial
+    // count keeps the 127 runs to a few seconds in a debug build;
+    // four batches per run let them use two threads.
+    const TRIALS: u64 = 6_000;
+    let table = committed_table();
+    for row in table.rows() {
+        let n = row.n as usize;
+        let beta =
+            Rational::from_f64_exact(0.5 * (row.beta_lo + row.beta_hi)).expect("finite midpoint");
+        let rule = SingleThresholdAlgorithm::symmetric(n, beta).expect("β* in (0, 1)");
+        let report = Simulation::new(TRIALS, 0x5eed + u64::from(row.n))
+            .with_batch_size(TRIALS / 4)
+            .run(&rule, n as f64 / 3.0);
+        let center = 0.5 * (row.p_lo + row.p_hi);
+        let half_width = 0.5 * (row.p_hi - row.p_lo);
+        let sigma = (center * (1.0 - center) / TRIALS as f64).sqrt();
+        assert!(
+            (report.estimate - center).abs() <= 5.0 * sigma + half_width,
+            "n = {}: estimate {} vs certified P* in [{}, {}] (σ = {sigma:.2e})",
+            row.n,
+            report.estimate,
+            row.p_lo,
+            row.p_hi
+        );
+    }
 }
