@@ -1,47 +1,41 @@
 //! Dispatch-layer payoff of the Monte-Carlo engine: the same
-//! estimation workload through the fully-dynamic v1 loop
-//! ([`Simulation::run_dyn`]: one virtual call per decision, one
-//! scalar RNG call per uniform), through the generic fallback with
-//! buffered sampling (virtual decisions, chunked uniforms), through
-//! the monomorphized sequential kernel (decision inlined, chunked
-//! uniforms, the exact v2 stream via [`KernelStream::Sequential`]),
-//! and through the lane-batched v3 kernel ([`Simulation::run`]'s
-//! default: branch-free `[f64; LANES]` trial groups on the
-//! counter-addressed Threefry stream).
+//! estimation workload through the v1 engine loop (a private
+//! [`run_dyn`] baseline below: one virtual call per decision, one
+//! scalar RNG call per uniform, a sequential generator per batch),
+//! through the opaque per-decision fallback on the lane kernel
+//! (virtual decisions, counter-addressed draws), and through the
+//! monomorphized lane kernel ([`Simulation::run`] on a hinted rule:
+//! branch-free `[f64; LANES]` trial groups on the counter-addressed
+//! Threefry stream).
 //!
-//! The sequential paths are bit-identical by construction — asserted
-//! here before any timing — so their speedups are pure dispatch and
-//! sampling overhead. The lane path is a different (v3) stream with
-//! the same estimator: lane widths are asserted bit-identical to each
-//! other and the estimate is asserted statistically consistent with
-//! the sequential one.
+//! The opaque and hinted lane paths are bit-identical by construction
+//! — asserted here before any timing — so their ratio is pure
+//! dispatch overhead. The baseline draws from a different generator
+//! with the same estimator: its stream is pinned to a golden win
+//! count, and the lane estimate is asserted statistically consistent
+//! with it.
 //!
 //! Every row is measured **paired**: baseline and optimized run
 //! back-to-back with alternating order inside each sample, and the
 //! recorded `cold_ns`/`memoized_ns` are the per-side minima, so
 //! `speedup` is the paired min-time ratio (the least-noise estimate
-//! for CPU-bound work — the PR 4 overhead-gate methodology, now used
-//! for all rows; medians drifted enough on shared hardware that a
-//! previously recorded 0.918x on one `buffered` row was
-//! indistinguishable from noise). Under paired minima the `buffered`
-//! rows settle at a real, uniform ≈0.93x: buffering alone buys
-//! nothing when every decision is still a virtual call — it pays
-//! only combined with monomorphized kernels, which is exactly what
-//! the `kernel+buffered` rows isolate.
+//! for CPU-bound work; medians drift too much on shared hardware).
 //!
 //! Modes: `--smoke` (single short iteration, scratch output path;
 //! CI's bench-smoke step), `--quick` (short paired measurement to a
 //! scratch path for `cargo xtask bench-check`; CI's bench-check
 //! step). The full run rewrites
 //! `results/BENCH_simulator_throughput.json` and asserts the floors
-//! it records: lane ≥ 4x dyn at n = 8, and every `lane` row ahead of
-//! its `kernel+buffered` row.
+//! it records: lane ≥ 4x the baseline at n = 8, and metrics within
+//! 2% of the uninstrumented lane path.
 
 use bench::{write_bench_json, PairedTiming};
 use criterion::black_box;
 use decision::{Bin, LocalRule, ObliviousAlgorithm, SingleThresholdAlgorithm};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rational::Rational;
-use simulator::{EngineMetrics, KernelStream, LaneWidth, Simulation, SimulationReport};
+use simulator::{EngineMetrics, Simulation, SimulationReport};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -49,8 +43,11 @@ use std::time::Instant;
 const DELTA: f64 = 1.0;
 const SIZES: [usize; 3] = [3, 5, 8];
 
+/// Trials per batch of the baseline, equal to the engine's default.
+const BATCH_SIZE: u64 = 16_384;
+
 /// Hides a rule's kernel hint, forcing the engine onto the generic
-/// per-decision path while keeping buffered sampling.
+/// per-decision path.
 struct Opaque<'a>(&'a dyn LocalRule);
 
 impl LocalRule for Opaque<'_> {
@@ -60,6 +57,89 @@ impl LocalRule for Opaque<'_> {
     fn decide(&self, player: usize, input: f64, coin: f64) -> Bin {
         self.0.decide(player, input, coin)
     }
+}
+
+/// SplitMix64 finalizer, decorrelating the baseline's per-batch seeds.
+fn splitmix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
+/// The v1 engine loop, the denominator of every speedup below: batch
+/// `i` draws from a `StdRng` seeded from `(seed, i)`, one
+/// `gen_range` call per uniform (input, then coin, then the fault
+/// draw when crashes are possible, per player), and every decision
+/// is a virtual [`LocalRule::decide`] call. Single-threaded and
+/// crash-free.
+///
+/// The loop keeps the engine's shape as it stood before stream v5 —
+/// a per-batch function over run-time parameters that counts its
+/// draws — and hides the rule behind [`black_box`], so the compiler
+/// can neither devirtualize `decide` nor fold the fault switch. A
+/// private copy without those would time a different loop and move
+/// every speedup's denominator.
+fn run_dyn(rule: &dyn LocalRule, trials: u64, seed: u64) -> SimulationReport {
+    let rule: &dyn LocalRule = black_box(rule);
+    let p_crash: f64 = black_box(0.0);
+    let params = BaselineParams {
+        seed,
+        trials,
+        p_crash,
+        draw_fault: p_crash > 0.0,
+    };
+    let (mut wins, mut draws) = (0u64, 0u64);
+    for batch in 0..trials.div_ceil(BATCH_SIZE) {
+        let (batch_wins, batch_draws) = run_dyn_batch(rule, params, batch);
+        wins += batch_wins;
+        draws += batch_draws;
+    }
+    let per_player = if params.draw_fault { 3 } else { 2 };
+    assert_eq!(draws, trials * rule.n() as u64 * per_player);
+    SimulationReport::from_counts(wins, trials)
+}
+
+/// The baseline's per-run constants.
+#[derive(Clone, Copy)]
+struct BaselineParams {
+    seed: u64,
+    trials: u64,
+    p_crash: f64,
+    draw_fault: bool,
+}
+
+/// One batch of [`run_dyn`]: returns its wins and uniforms drawn.
+fn run_dyn_batch(rule: &dyn LocalRule, params: BaselineParams, batch: u64) -> (u64, u64) {
+    let count = BATCH_SIZE.min(params.trials - batch * BATCH_SIZE);
+    let mut rng = StdRng::seed_from_u64(splitmix(
+        params.seed ^ batch.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+    ));
+    let mut draws = 0u64;
+    let mut next_unit = || {
+        draws += 1;
+        rng.gen_range(0.0..1.0)
+    };
+    let n = rule.n();
+    let mut wins = 0u64;
+    for _ in 0..count {
+        let mut sums = [0.0f64; 2];
+        for player in 0..n {
+            let input: f64 = next_unit();
+            let coin: f64 = next_unit();
+            if params.draw_fault && next_unit() < params.p_crash {
+                continue; // crashed: the input reaches neither bin
+            }
+            match rule.decide(player, input, coin) {
+                Bin::Zero => sums[0] += input,
+                Bin::One => sums[1] += input,
+            }
+        }
+        if sums[0] <= DELTA && sums[1] <= DELTA {
+            wins += 1;
+        }
+    }
+    (wins, draws)
 }
 
 /// One timed invocation.
@@ -128,8 +208,12 @@ fn main() {
     };
     // Single-threaded engine: the comparison isolates dispatch and
     // sampling cost per core, independent of pool scheduling.
-    let sim = Simulation::new(trials, 42).with_threads(1);
-    let sequential = sim.clone().with_kernel_stream(KernelStream::Sequential);
+    let seed = 42;
+    let sim = Simulation::new(trials, seed).with_threads(1);
+
+    // The baseline is the v1/v2 sequential stream: fair coins, n = 3,
+    // 4,096 trials, seed 7 win exactly 1,759 times on it.
+    assert_eq!(run_dyn(&ObliviousAlgorithm::fair(3), 4_096, 7).wins, 1_759);
 
     println!(
         "simulator_throughput: {trials} trials/run, δ = {DELTA}, single-threaded{}",
@@ -149,55 +233,35 @@ fn main() {
             .expect("valid symmetric thresholds");
         let oblivious = ObliviousAlgorithm::fair(n);
 
-        // Transparency first. The sequential paths share one logical
-        // stream and must agree exactly...
-        let seq_ref = sequential.run(&threshold, DELTA);
-        assert_eq!(sequential.run(&Opaque(&threshold), DELTA), seq_ref);
-        assert_eq!(sim.run_dyn(&threshold, DELTA), seq_ref);
-        assert_eq!(
-            sequential.run(&Opaque(&oblivious), DELTA),
-            sequential.run(&oblivious, DELTA)
-        );
-        assert_eq!(
-            sim.run_dyn(&oblivious, DELTA),
-            sequential.run(&oblivious, DELTA)
-        );
-        // ...while the lane path is width-invariant on its own (v3)
-        // stream and statistically consistent with the sequential
-        // estimate.
+        // Transparency first. Hiding a rule's hint changes the
+        // dispatch, not the report...
         let lane_ref = sim.run(&threshold, DELTA);
-        for width in [LaneWidth::W1, LaneWidth::W8] {
-            let widened = sim.clone().with_lane_width(width);
-            assert_eq!(widened.run(&threshold, DELTA), lane_ref);
-        }
+        assert_eq!(sim.run(&Opaque(&threshold), DELTA), lane_ref);
+        assert_eq!(
+            sim.run(&Opaque(&oblivious), DELTA),
+            sim.run(&oblivious, DELTA)
+        );
+        // ...and the lane estimate is statistically consistent with
+        // the baseline's, drawn from an independent generator.
+        let baseline = run_dyn(&threshold, trials, seed);
         assert!(
-            lane_ref.agrees_with(seq_ref.estimate, 5.0),
-            "lane vs sequential estimate at n = {n}: {lane_ref} vs {seq_ref}"
+            lane_ref.agrees_with(baseline.estimate, 5.0),
+            "lane vs baseline estimate at n = {n}: {lane_ref} vs {baseline}"
         );
 
-        let (dyn_ns, buffered_ns) = paired_min_ns(
+        let (dyn_ns, opaque_ns) = paired_min_ns(
             samples,
-            || sim.run_dyn(&threshold, DELTA),
-            || sequential.run(&Opaque(&threshold), DELTA),
+            || run_dyn(&threshold, trials, seed),
+            || sim.run(&Opaque(&threshold), DELTA),
         );
         timings.push(PairedTiming {
-            label: format!("threshold n = {n} · buffered"),
+            label: format!("threshold n = {n} · opaque"),
             cold_ns: dyn_ns,
-            memoized_ns: buffered_ns,
-        });
-        let (dyn_ns, kernel_ns) = paired_min_ns(
-            samples,
-            || sim.run_dyn(&threshold, DELTA),
-            || sequential.run(&threshold, DELTA),
-        );
-        timings.push(PairedTiming {
-            label: format!("threshold n = {n} · kernel+buffered"),
-            cold_ns: dyn_ns,
-            memoized_ns: kernel_ns,
+            memoized_ns: opaque_ns,
         });
         let (dyn_ns, lane_ns) = paired_min_ns(
             samples,
-            || sim.run_dyn(&threshold, DELTA),
+            || run_dyn(&threshold, trials, seed),
             || sim.run(&threshold, DELTA),
         );
         timings.push(PairedTiming {
@@ -222,30 +286,18 @@ fn main() {
             memoized_ns: metered_ns,
         });
         println!(
-            "threshold n = {n}: dyn {:>12.0}/s   buffered {:>12.0}/s ({:.2}x)   kernel {:>12.0}/s ({:.2}x)   lane {:>12.0}/s ({:.2}x)   metered ({:.3}x of lane)",
+            "threshold n = {n}: dyn {:>12.0}/s   opaque {:>12.0}/s ({:.2}x)   lane {:>12.0}/s ({:.2}x)   metered ({:.3}x of lane)",
             trials_per_sec(trials, dyn_ns),
-            trials_per_sec(trials, buffered_ns),
-            dyn_ns / buffered_ns,
-            trials_per_sec(trials, kernel_ns),
-            dyn_ns / kernel_ns,
+            trials_per_sec(trials, opaque_ns),
+            dyn_ns / opaque_ns,
             trials_per_sec(trials, lane_ns),
             dyn_ns / lane_ns,
             metered_ns / plain_ns,
         );
 
-        let (dyn_ns, kernel_ns) = paired_min_ns(
-            samples,
-            || sim.run_dyn(&oblivious, DELTA),
-            || sequential.run(&oblivious, DELTA),
-        );
-        timings.push(PairedTiming {
-            label: format!("oblivious n = {n} · kernel+buffered"),
-            cold_ns: dyn_ns,
-            memoized_ns: kernel_ns,
-        });
         let (dyn_ns, lane_ns) = paired_min_ns(
             samples,
-            || sim.run_dyn(&oblivious, DELTA),
+            || run_dyn(&oblivious, trials, seed),
             || sim.run(&oblivious, DELTA),
         );
         timings.push(PairedTiming {
@@ -254,10 +306,8 @@ fn main() {
             memoized_ns: lane_ns,
         });
         println!(
-            "oblivious n = {n}: dyn {:>12.0}/s   kernel {:>12.0}/s ({:.2}x)   lane {:>12.0}/s ({:.2}x)",
+            "oblivious n = {n}: dyn {:>12.0}/s   lane {:>12.0}/s ({:.2}x)",
             trials_per_sec(trials, dyn_ns),
-            trials_per_sec(trials, kernel_ns),
-            dyn_ns / kernel_ns,
             trials_per_sec(trials, lane_ns),
             dyn_ns / lane_ns,
         );
@@ -275,28 +325,11 @@ fn main() {
                 .unwrap_or_else(|| panic!("row {label} measured"))
                 .speedup()
         };
-        let kernel_n8 = speedup_of("threshold n = 8 · kernel+buffered");
-        assert!(
-            kernel_n8 >= 2.0,
-            "monomorphized+buffered must be at least 2x over dyn dispatch at n = 8, got {kernel_n8:.2}x"
-        );
         let lane_n8 = speedup_of("threshold n = 8 · lane");
         assert!(
             lane_n8 >= 4.0,
             "lane kernel must be at least 4x over the v1 dyn baseline at n = 8, got {lane_n8:.2}x"
         );
-        // The lane kernel replaces the sequential one: it must win on
-        // every shape, coin-driven oblivious rules included.
-        for n in SIZES {
-            for family in ["threshold", "oblivious"] {
-                let lane = speedup_of(&format!("{family} n = {n} · lane"));
-                let kernel = speedup_of(&format!("{family} n = {n} · kernel+buffered"));
-                assert!(
-                    lane > kernel,
-                    "{family} n = {n}: lane {lane:.2}x does not beat kernel+buffered {kernel:.2}x"
-                );
-            }
-        }
         // Observability must be free: the metrics-enabled lane path
         // stays within 2% of the uninstrumented one at every size,
         // judged on the drift-free paired min-time ratio.

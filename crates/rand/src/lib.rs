@@ -398,8 +398,8 @@ impl<G: RngCore> RngCore for CountingRng<G> {
 ///
 /// This is the canonical conversion behind every float sample in the
 /// workspace: [`Rng::gen_range`] over `0.0..1.0` returns exactly this
-/// value, so buffered prefetchers built directly on `unit_f64`
-/// observe the same stream as scalar `gen_range` callers.
+/// value, and the counter stream converts its words the same way
+/// ([`counter::word_to_unit`]).
 // xtask:allow(no-twin-f64): bit-level RNG conversion, not a twin of an exact pipeline
 pub fn unit_f64<G: RngCore>(rng: &mut G) -> f64 {
     counter::word_to_unit(rng.next_u64())

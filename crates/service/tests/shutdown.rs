@@ -11,6 +11,23 @@ fn start() -> Service {
     Service::start(ServiceConfig::default()).expect("daemon start")
 }
 
+/// Waits, for at most 30 s, until the daemon has accepted exactly
+/// `n` requests. The counter is raised before a request's work
+/// starts, so every counted request is in flight or already answered
+/// — never refusable by a shutdown that lands afterwards.
+fn await_accepted(daemon: &Service, n: u64) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while daemon.metrics_frame().requests < n {
+        assert!(
+            Instant::now() < deadline,
+            "daemon accepted {} of {n} requests within 30 s",
+            daemon.metrics_frame().requests
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(daemon.metrics_frame().requests, n);
+}
+
 #[test]
 fn remote_shutdown_acknowledges_then_drains() {
     let daemon = start();
@@ -31,7 +48,7 @@ fn remote_shutdown_acknowledges_then_drains() {
     // able to stall the drain beyond the poll interval.
     let idle = TcpStream::connect(addr).expect("idle connect");
 
-    std::thread::sleep(Duration::from_millis(20));
+    await_accepted(&daemon, 1);
     let mut controller = Client::connect(addr).expect("controller connect");
     let ack = controller
         .roundtrip(Request::Shutdown)
@@ -73,9 +90,9 @@ fn shutdown_racing_concurrent_sweeps_completes_all_accepted_work() {
     let addr = daemon.local_addr();
 
     // A burst of concurrent sweep and simulate requests, each on its
-    // own connection, all still in flight when the shutdown lands.
-    // Every request the daemon *accepted* must drain to a complete,
-    // correct answer — drain means finish the work, not drop it.
+    // own connection, all accepted before the shutdown lands. Every
+    // one must drain to a complete, correct answer — drain means
+    // finish the work, not drop it.
     let workers: Vec<_> = (0..6)
         .map(|i| {
             std::thread::spawn(move || {
@@ -98,7 +115,7 @@ fn shutdown_racing_concurrent_sweeps_completes_all_accepted_work() {
         })
         .collect();
 
-    std::thread::sleep(Duration::from_millis(10));
+    await_accepted(&daemon, 6);
     let mut controller = Client::connect(addr).expect("controller connect");
     let ack = controller
         .roundtrip(Request::Shutdown)
@@ -107,24 +124,28 @@ fn shutdown_racing_concurrent_sweeps_completes_all_accepted_work() {
 
     let mut answered = 0;
     for (i, worker) in workers.into_iter().enumerate() {
-        // A request that raced the drain window may be refused at the
-        // transport level (connection dropped before the daemon read
-        // it) — but an accepted one must never get a partial answer.
-        if let Ok(response) = worker.join().expect("client thread") {
-            match response.outcome {
-                Ok(Outcome::Sweep { points, .. }) => {
-                    assert_eq!(points.len(), 65, "request {i} drained to a truncated sweep");
-                }
-                Ok(Outcome::Simulate { wins, trials }) => {
-                    assert_eq!(trials, 200_000, "request {i} drained short");
-                    assert!(wins <= trials);
-                }
-                other => panic!("request {i} answered {other:?}"),
+        // Every request was accepted before the shutdown, so none may
+        // be refused and none may get a partial answer.
+        let response = worker
+            .join()
+            .expect("client thread")
+            .unwrap_or_else(|e| panic!("accepted request {i} was dropped: {e}"));
+        match response.outcome {
+            Ok(Outcome::Sweep { points, .. }) => {
+                assert_eq!(points.len(), 65, "request {i} drained to a truncated sweep");
             }
-            answered += 1;
+            Ok(Outcome::Simulate { wins, trials }) => {
+                assert_eq!(trials, 200_000, "request {i} drained short");
+                assert!(wins <= trials);
+            }
+            other => panic!("request {i} answered {other:?}"),
         }
+        answered += 1;
     }
-    assert!(answered >= 1, "the pre-shutdown burst was entirely lost");
+    assert_eq!(
+        answered, 6,
+        "every accepted request drains to a full answer"
+    );
     daemon.wait();
 }
 

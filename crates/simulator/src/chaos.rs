@@ -3,7 +3,7 @@
 //! The paper models *player* crash faults ([`run_with_crashes`]
 //! estimates under them); this module injects faults into the
 //! **engine** that runs those estimates — worker panics, slow jobs,
-//! poisoned RNG refills, and worker-thread deaths — so the recovery
+//! poisoned batch draws, and worker-thread deaths — so the recovery
 //! layer can be exercised deterministically.
 //!
 //! A [`ChaosPlan`] is reproducible from plain numbers: either build it
@@ -39,9 +39,9 @@ pub enum FaultKind {
         /// Stall length in milliseconds.
         millis: u64,
     },
-    /// The uniform-buffer refill for the batch is detected as corrupt
-    /// before any trial consumes it; the attempt aborts and is retried
-    /// in place with a clean stream.
+    /// The batch's random draws are detected as corrupt before any
+    /// trial consumes them; the attempt aborts and is retried in place
+    /// with clean draws.
     PoisonedRefill,
 }
 
@@ -51,8 +51,8 @@ pub enum FaultKind {
 pub(crate) enum ChaosUnwind {
     /// An injected [`FaultKind::WorkerPanic`].
     WorkerPanic,
-    /// An injected [`FaultKind::PoisonedRefill`] tripping the refill
-    /// integrity check.
+    /// An injected [`FaultKind::PoisonedRefill`]: the batch's draws
+    /// are rejected before any trial consumes them.
     PoisonedRefill,
 }
 

@@ -9,84 +9,65 @@
 //! per-player decision is inlined with no virtual call and no
 //! `Rational → f64` conversion inside the loop. Rules reporting
 //! [`KernelHint::Opaque`] fall back to calling
-//! [`LocalRule::decide`] per decision. The entry points are generic
-//! over `R: LocalRule + ?Sized`, so `&dyn LocalRule` callers keep
-//! working unchanged (one virtual `kernel_hint` call still routes
-//! them onto the fast path); [`Simulation::run_dyn`] pins the old
-//! fully-dynamic loop as a benchmark baseline.
+//! [`LocalRule::decide`] per decision. Every kernel runs on the same
+//! lane loop and the same counter-addressed draws, so a rule hidden
+//! behind an opaque wrapper reports exactly what its hinted form
+//! does. The entry points are generic over `R: LocalRule + ?Sized`,
+//! so `&dyn LocalRule` callers keep working unchanged (one virtual
+//! `kernel_hint` call still routes them onto the fast path).
 //!
 //! # RNG stream versioning
 //!
-//! Each batch draws from a stream that is a pure function of
-//! `(seed, batch)`. The *shape* of that stream — how many uniforms a
-//! trial consumes — is versioned by [`RNG_STREAM_VERSION`]:
+//! Every draw of a run is a pure function of `(seed, batch, trial,
+//! kind, player)`. How draws are generated and laid out is versioned
+//! by [`RNG_STREAM_VERSION`]:
 //!
-//! * **v1** (through PR 2): every player drew three uniforms per
-//!   trial — input, coin, and a fault coin even when `p_crash = 0`.
-//! * **v2** (through PR 7, still carried by the sequential paths):
-//!   under the default [`FaultStream::OnDemand`], the fault draw is
-//!   skipped entirely when `p_crash = 0`, so a crash-free trial
-//!   consumes two uniforms per player.
-//!   [`FaultStream::CommonRandomNumbers`] restores the v1 shape
-//!   (always draw the fault coin), which keeps the input stream
-//!   shared across different fault rates — use it to compare
-//!   `p_crash` settings variance-free. Runs with `p_crash > 0` are
-//!   bit-identical in both modes.
-//! * **v3** (superseded by v4): hinted rules default to the **lane
-//!   kernel** on a counter-based Threefry generator. Draw `d` of
-//!   trial `t` in batch `i` is a pure function of `(seed, i, t, d)` —
-//!   addressed, not streamed — with the same per-trial draw *layout*
-//!   as v2 (input, coin, and a fault coin only when it would be
-//!   drawn), so both [`FaultStream`] modes keep their v2 semantics.
-//!   Because trials no longer share a serialized generator, `LANES`
-//!   trials advance per inner step and lane width, thread count,
-//!   batch schedule, chaos replay, and checkpoint resume are all
-//!   invariant *by construction*. Opaque rules and
-//!   [`Simulation::run_dyn`] still run the exact v2 sequential
-//!   stream, and [`KernelStream::Sequential`] opts a hinted rule back
-//!   onto it — that is the bit-exact bridge the equivalence tests
-//!   pin.
-//! * **v4** (current): **v4 draws are exactly v3's** — same counter
-//!   addresses `[batch, trial, kind << 32 | k, domain]`, same words,
-//!   same accumulation order, so every estimate and every v3 golden
-//!   is unchanged. What changed is the lane loop's shape: v3 filled
-//!   every plane of a lane group into a per-batch row buffer and then
-//!   copied each player's row back out; v4's `run_lane_batch`
-//!   consumes each Threefry block in registers as soon as it is
-//!   computed (the bijection is always inlined), with no scratch and
-//!   no allocation per batch. The bump records that the
-//!   stream-critical functions were rewritten (the fingerprint gate
-//!   requires it), not that any draw moved.
+//! * **v1**: one sequential generator per batch, seeded from
+//!   `(seed, batch)`; every player drew three uniforms per trial —
+//!   input, coin, and a fault coin even when `p_crash = 0`.
+//! * **v2**: the same sequential generator, but the fault coin was
+//!   drawn only when `p_crash > 0` unless a common-random-numbers
+//!   mode asked for the v1 shape.
+//! * **v3**: hinted rules moved to the **lane kernel** on a
+//!   counter-based Threefry generator. Uniform
+//!   `(kind, p)` of trial `t` in batch `i` is a word of the block at
+//!   counter `[i, t, kind << 32 | p / 4, domain]` — addressed, not
+//!   streamed — so lane width, thread count, batch schedule, chaos
+//!   replay and checkpoint resume are invariant by construction, and
+//!   each kind's plane is generated only when it is read. Opaque
+//!   rules stayed on the v2 sequential stream.
+//! * **v4**: draws exactly v3's; the lane loop consumes each
+//!   Threefry block in registers instead of filling a per-batch row
+//!   buffer.
+//! * **v5** (current): every rule runs on the lane kernel and there
+//!   is no sequential stream. Hinted draws are exactly v4's, so every
+//!   hinted estimate and golden is unchanged; opaque rules moved from
+//!   the v2 stream to the counter draws, which changes their
+//!   estimates for a given seed.
 //!
 //! Consequently, same-version estimates are bit-for-bit reproducible
-//! across thread counts, batch schedules, pool reuse, lane widths,
-//! buffered vs scalar sampling, and dyn vs monomorphized dispatch —
-//! but a v3/v4 hinted estimate differs from the v2 estimate for the
-//! same seed (and v2 crash-free differed from v1). The expectation
-//! tests below were re-pinned against v3 deliberately and hold
-//! unchanged at v4.
+//! across thread counts, batch schedules, pool reuse, lane widths and
+//! hinted vs opaque dispatch. The expectation tests below were
+//! re-pinned against v3 deliberately and hold unchanged at v5.
 
 use crate::chaos::{self, ChaosPlan, ChaosUnwind, FaultKind};
 use crate::kernel::{
-    BufferedUniforms, DrawKind, GenericKernel, Kernel, LaneKernel, ObliviousKernel, ScalarUniforms,
-    ThresholdKernel, UniformSource, KIND_SHIFT, LANE_STREAM_DOMAIN,
+    DrawKind, GenericKernel, Kernel, ObliviousKernel, ThresholdKernel, KIND_SHIFT,
+    LANE_STREAM_DOMAIN,
 };
 use crate::metrics::keys;
 use crate::pool::{Job, PoolConfig, WorkerPool};
 use crate::{SimulationError, SimulationReport};
-use decision::{Bin, KernelHint, LocalRule};
+use decision::{KernelHint, LocalRule};
 use obs::{Deadline, MetricsSink, NoopSink};
 use rand::counter::{threefry4x64_lanes, word_to_unit, CounterKey};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
 use std::time::Duration;
 
 /// Version of the per-batch RNG stream shape (see the
 /// [module docs](self) for the history).
-pub const RNG_STREAM_VERSION: u32 = 4;
+pub const RNG_STREAM_VERSION: u32 = 5;
 
 /// Default trials per batch; shared with the instrumented
 /// [`load_stats`](crate::load_stats) loop so its stream stays
@@ -104,63 +85,14 @@ pub(crate) const DEFAULT_BATCH_DEADLINE: Duration = Duration::from_secs(30);
 /// genuine bug and propagated.
 const MAX_BATCH_ATTEMPTS: u32 = 3;
 
-/// How the per-player fault coin is drawn (see the
-/// [module docs](self) for the stream-shape consequences).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FaultStream {
-    /// Draw the fault coin only when `p_crash > 0` — the fast path
-    /// for crash-free estimation.
-    #[default]
-    OnDemand,
-    /// Always draw the fault coin, even at `p_crash = 0`, so
-    /// estimates at different fault rates share one input stream
-    /// (the v1 stream shape).
-    CommonRandomNumbers,
-}
-
-/// How many trials the lane kernel advances per inner-loop step.
-///
-/// Every width produces bit-identical estimates (trial outcomes are
-/// pure functions of their own counters; the width only chooses how
-/// many are computed elementwise at once), so this is a pure
-/// performance knob. [`LaneWidth::W16`] is the default: two vector
-/// registers of lanes per Threefry word gives the round ladder's
-/// serial add–rotate–xor chains a second independent instruction
-/// stream to overlap (measurably ahead of `W8` on the reference
-/// container), while the block being consumed still fits in the
-/// vector register file.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum LaneWidth {
-    /// One trial per step — the scalar instantiation the invariance
-    /// tests compare against.
-    W1,
-    /// Eight trials per step.
-    W8,
-    /// Sixteen trials per step (default).
-    #[default]
-    W16,
-}
-
-/// Which uniform stream hinted (threshold/oblivious) rules run on.
-///
-/// Opaque rules and [`Simulation::run_dyn`] always use the
-/// sequential v2 stream regardless of this setting; see the
-/// [module docs](self) stream-version history.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KernelStream {
-    /// The stream-v3 counter-based lane kernel (default).
-    Lanes(LaneWidth),
-    /// The sequential v2 stream through the buffered source — the
-    /// pre-v3 hinted path, kept bit-exact so hinted, opaque, and dyn
-    /// dispatch can still be compared draw for draw.
-    Sequential,
-}
-
-impl Default for KernelStream {
-    fn default() -> KernelStream {
-        KernelStream::Lanes(LaneWidth::default())
-    }
-}
+/// Trials the lane kernel advances per inner-loop step. Every width
+/// produces bit-identical estimates (trial outcomes are pure
+/// functions of their own counters), so this is pure compute shape:
+/// two vector registers of lanes per Threefry word give the round
+/// ladder's serial add–rotate–xor chains a second independent
+/// instruction stream to overlap, while the block being consumed
+/// still fits in the vector register file.
+const LANES: usize = 16;
 
 /// A deterministic, thread-parallel Monte-Carlo estimator of the
 /// winning probability `P_A(δ)` of any [`LocalRule`].
@@ -190,8 +122,6 @@ pub struct Simulation {
     seed: u64,
     threads: usize,
     batch_size: u64,
-    fault_stream: FaultStream,
-    kernel_stream: KernelStream,
     /// Lazily-spawned persistent workers, shared by clones (so
     /// [`Simulation::reseeded`] engines reuse the same threads).
     pool: Arc<OnceLock<WorkerPool>>,
@@ -213,8 +143,6 @@ impl std::fmt::Debug for Simulation {
             .field("seed", &self.seed)
             .field("threads", &self.threads)
             .field("batch_size", &self.batch_size)
-            .field("fault_stream", &self.fault_stream)
-            .field("kernel_stream", &self.kernel_stream)
             .field("pool", &self.pool)
             .field("chaos", &self.chaos)
             .field("batch_deadline", &self.batch_deadline)
@@ -229,16 +157,11 @@ impl std::fmt::Debug for Simulation {
 pub(crate) struct BatchTotals {
     /// Winning trials.
     pub(crate) wins: u64,
-    /// Uniform samples handed to the trial loop (logical draws: the
-    /// lane path reports the same `trials × players × per-player`
-    /// quantity the sequential sources count).
+    /// Uniform samples handed to the trial loop (logical draws:
+    /// `trials × players × per-player`).
     pub(crate) draws: u64,
-    /// Buffer refills performed by the uniform source (zero on the
-    /// counter-addressed lane path, which has no buffer).
-    pub(crate) refills: u64,
-    /// `L`-wide lane blocks computed by the lane path, each `L`
-    /// scalar Threefry blocks (zero on the sequential paths; see
-    /// [`keys::RNG_LANE_BLOCKS`]).
+    /// `L`-wide lane blocks computed, each `L` scalar Threefry blocks
+    /// (see [`keys::RNG_LANE_BLOCKS`]).
     pub(crate) lane_blocks: u64,
     /// Batches executed.
     pub(crate) batches: u64,
@@ -249,7 +172,6 @@ impl BatchTotals {
     pub(crate) fn merge(&mut self, other: BatchTotals) {
         self.wins += other.wins;
         self.draws += other.draws;
-        self.refills += other.refills;
         self.lane_blocks += other.lane_blocks;
         self.batches += other.batches;
     }
@@ -263,64 +185,13 @@ struct TrialParams {
     batch_size: u64,
     delta: f64,
     p_crash: f64,
-    draw_fault: bool,
-}
-
-/// One monomorphized way of turning a batch index into totals: a
-/// kernel paired with a stream discipline. The chaos/retry wrapper,
-/// the pool plumbing, and the scoped-thread runner are all generic
-/// over this, so every `(kernel, stream)` combination shares one set
-/// of orchestration code while keeping the trial loop fully inlined.
-///
-/// Implementations must be pure per batch: `batch_totals(params, b)`
-/// may depend only on its arguments and construction-time state,
-/// which is what makes chaos re-execution and coordinator reclaim
-/// bit-identical.
-trait TrialLoop: Sync {
-    /// Runs batch `batch` to completion and returns its totals.
-    fn batch_totals(&self, params: TrialParams, batch: u64) -> BatchTotals;
-}
-
-/// A kernel on the sequential (v1/v2) stream through uniform source
-/// `U` — the pre-v3 discipline, still the only one for opaque and
-/// dyn dispatch.
-struct SequentialLoop<K, U> {
-    kernel: K,
-    _uniforms: PhantomData<fn() -> U>,
-}
-
-impl<K, U> SequentialLoop<K, U> {
-    fn new(kernel: K) -> SequentialLoop<K, U> {
-        SequentialLoop {
-            kernel,
-            _uniforms: PhantomData,
-        }
-    }
-}
-
-impl<K: Kernel, U: UniformSource> TrialLoop for SequentialLoop<K, U> {
-    fn batch_totals(&self, params: TrialParams, batch: u64) -> BatchTotals {
-        run_batch::<K, U>(&self.kernel, params, batch)
-    }
-}
-
-/// A hinted kernel on the stream-v3 counter generator, `L` lanes per
-/// step.
-struct LaneLoop<K, const L: usize> {
-    kernel: K,
-}
-
-impl<K: LaneKernel, const L: usize> TrialLoop for LaneLoop<K, L> {
-    fn batch_totals(&self, params: TrialParams, batch: u64) -> BatchTotals {
-        run_lane_batch::<K, L>(&self.kernel, params, batch)
-    }
 }
 
 /// Shared state of one pooled run: workers and the submitting thread
 /// all drain batches from `next` and report per-batch totals to the
 /// coordinator.
-struct PooledRun<T> {
-    trial_loop: T,
+struct PooledRun<K> {
+    kernel: K,
     params: TrialParams,
     batches: u64,
     next: AtomicU64,
@@ -330,7 +201,7 @@ struct PooledRun<T> {
     sink: Arc<dyn MetricsSink>,
 }
 
-impl<T: TrialLoop> PooledRun<T> {
+impl<K: Kernel> PooledRun<K> {
     /// Claims and runs batches until the counter is exhausted,
     /// reporting each completed batch to the coordinator. An injected
     /// worker panic unwinds out of this loop (killing the drain job);
@@ -343,7 +214,7 @@ impl<T: TrialLoop> PooledRun<T> {
                 return;
             }
             let totals = execute_batch(
-                &self.trial_loop,
+                &self.kernel,
                 self.params,
                 batch,
                 self.chaos.as_deref(),
@@ -410,17 +281,17 @@ enum Attempt {
 }
 
 /// Runs one batch with bounded fault recovery. A clean engine compiles
-/// down to a single `run_batch` call behind an untaken branch; under a
+/// down to a single `run_lane_batch` call behind an untaken branch; under a
 /// [`ChaosPlan`] a panicking attempt is retried in place (counted as a
 /// recovered batch) up to [`MAX_BATCH_ATTEMPTS`], except that a pool
 /// worker lets an injected worker panic through so the coordinator's
 /// bounded-wait reclaim handles it.
 ///
-/// Re-execution is bit-identical by construction: the batch stream is
-/// a pure function of `(seed, batch)` and a fault arms strictly before
+/// Re-execution is bit-identical by construction: the batch's draws
+/// are a pure function of `(seed, batch)` and a fault arms strictly before
 /// any trial runs, so no partial state survives an unwind.
-fn execute_batch<T: TrialLoop>(
-    trial_loop: &T,
+fn execute_batch<K: Kernel>(
+    kernel: &K,
     params: TrialParams,
     batch: u64,
     chaos: Option<&ChaosPlan>,
@@ -428,13 +299,13 @@ fn execute_batch<T: TrialLoop>(
     attempt: Attempt,
 ) -> BatchTotals {
     if chaos.is_none() {
-        return trial_loop.batch_totals(params, batch);
+        return run_lane_batch::<K, LANES>(kernel, params, batch);
     }
     let mut tries = 0u32;
     loop {
         tries += 1;
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            attempt_batch(trial_loop, params, batch, chaos, sink)
+            attempt_batch(kernel, params, batch, chaos, sink)
         }));
         match outcome {
             Ok(totals) => return totals,
@@ -452,8 +323,8 @@ fn execute_batch<T: TrialLoop>(
 
 /// One execution attempt: arm the batch's planned fault (first attempt
 /// only), then run the pure batch.
-fn attempt_batch<T: TrialLoop>(
-    trial_loop: &T,
+fn attempt_batch<K: Kernel>(
+    kernel: &K,
     params: TrialParams,
     batch: u64,
     chaos: Option<&ChaosPlan>,
@@ -471,7 +342,7 @@ fn attempt_batch<T: TrialLoop>(
             }
         }
     }
-    trial_loop.batch_totals(params, batch)
+    run_lane_batch::<K, LANES>(kernel, params, batch)
 }
 
 impl Simulation {
@@ -506,8 +377,6 @@ impl Simulation {
             seed,
             threads,
             batch_size: DEFAULT_BATCH_SIZE,
-            fault_stream: FaultStream::default(),
-            kernel_stream: KernelStream::default(),
             pool: Arc::new(OnceLock::new()),
             sink: Arc::new(NoopSink),
             chaos: None,
@@ -558,31 +427,6 @@ impl Simulation {
         Ok(self)
     }
 
-    /// Selects how the per-player fault coin is drawn; see
-    /// [`FaultStream`].
-    #[must_use]
-    pub fn with_fault_stream(mut self, fault_stream: FaultStream) -> Simulation {
-        self.fault_stream = fault_stream;
-        self
-    }
-
-    /// Selects the stream hinted rules run on (see [`KernelStream`]):
-    /// the default stream-v3 lane kernel at a chosen [`LaneWidth`],
-    /// or the sequential v2 stream for draw-for-draw comparison with
-    /// opaque and dyn dispatch.
-    #[must_use]
-    pub fn with_kernel_stream(mut self, kernel_stream: KernelStream) -> Simulation {
-        self.kernel_stream = kernel_stream;
-        self
-    }
-
-    /// Shorthand for [`Simulation::with_kernel_stream`] with
-    /// [`KernelStream::Lanes`] at the given width.
-    #[must_use]
-    pub fn with_lane_width(self, width: LaneWidth) -> Simulation {
-        self.with_kernel_stream(KernelStream::Lanes(width))
-    }
-
     /// Attaches a metrics sink — typically an
     /// `Arc<`[`EngineMetrics`](crate::EngineMetrics)`>` — that
     /// receives run, RNG, and pool counters (see
@@ -602,7 +446,7 @@ impl Simulation {
     }
 
     /// Attaches a deterministic fault-injection plan (see
-    /// [`ChaosPlan`]): worker panics, slow jobs, poisoned refills, and
+    /// [`ChaosPlan`]): worker panics, slow jobs, poisoned draws, and
     /// worker-thread deaths at the planned batch indices.
     ///
     /// Chaos never changes an estimate. Each batch's RNG stream is a
@@ -675,11 +519,9 @@ impl Simulation {
     /// Estimates `P_A(δ)` when each player independently crashes (and
     /// drops its input) with probability `p_crash` per round.
     ///
-    /// Under the default [`FaultStream::OnDemand`] the fault coin is
-    /// only drawn when `p_crash > 0`; configure
-    /// [`FaultStream::CommonRandomNumbers`] (via
-    /// [`Simulation::with_fault_stream`]) to share the input stream
-    /// across fault rates.
+    /// Crash coins live in their own counter plane, generated only
+    /// when `p_crash > 0`, so runs at different fault rates with one
+    /// seed share every input and coin draw (common random numbers).
     ///
     /// # Panics
     ///
@@ -701,69 +543,25 @@ impl Simulation {
                 // must describe exactly the rule's players.
                 contracts::invariant!(thresholds.len() == rule.n(), "kernel hint arity");
                 (
-                    self.run_hinted(ThresholdKernel::new(thresholds), params),
+                    self.run_owned(ThresholdKernel::new(thresholds), params),
                     keys::DISPATCH_THRESHOLD,
                 )
             }
             KernelHint::Oblivious(alpha) => {
                 contracts::invariant!(alpha.len() == rule.n(), "kernel hint arity");
                 (
-                    self.run_hinted(ObliviousKernel::new(alpha), params),
+                    self.run_owned(ObliviousKernel::new(alpha), params),
                     keys::DISPATCH_OBLIVIOUS,
                 )
             }
             _ => (
-                self.run_borrowed(
-                    &SequentialLoop::<_, BufferedUniforms>::new(GenericKernel(rule)),
-                    params,
-                ),
+                self.run_borrowed(&GenericKernel(rule), params),
                 keys::DISPATCH_OPAQUE,
             ),
         };
         self.flush_run(totals, dispatch);
         // Postcondition: the counter is a frequency over exactly the
         // requested trials, whatever the thread interleaving was.
-        contracts::invariant!(
-            totals.wins <= self.trials,
-            "wins {} > trials {}",
-            totals.wins,
-            self.trials
-        );
-        SimulationReport::from_counts(totals.wins, self.trials)
-    }
-
-    /// Estimates `P_A(δ)` through the fully-dynamic v1 loop: one
-    /// virtual call per decision and one scalar RNG call per uniform.
-    ///
-    /// Bit-identical to [`Simulation::run`] — kernels and buffering
-    /// are transparent — but slower; it exists as the dispatch
-    /// baseline for the `simulator_throughput` bench and the
-    /// kernel-equivalence tests.
-    #[must_use]
-    pub fn run_dyn(&self, rule: &dyn LocalRule, delta: f64) -> SimulationReport {
-        self.run_dyn_with_crashes(rule, delta, 0.0)
-    }
-
-    /// [`Simulation::run_dyn`] with crash faults; the baseline twin
-    /// of [`Simulation::run_with_crashes`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p_crash` is not in `[0, 1]`.
-    #[must_use]
-    pub fn run_dyn_with_crashes(
-        &self,
-        rule: &dyn LocalRule,
-        delta: f64,
-        p_crash: f64,
-    ) -> SimulationReport {
-        assert!((0.0..=1.0).contains(&p_crash), "crash probability range"); // xtask:allow(no-panic): documented precondition
-        let params = self.trial_params(delta, p_crash);
-        let totals = self.run_borrowed(
-            &SequentialLoop::<_, ScalarUniforms>::new(GenericKernel(rule)),
-            params,
-        );
-        self.flush_run(totals, keys::DISPATCH_DYN);
         contracts::invariant!(
             totals.wins <= self.trials,
             "wins {} > trials {}",
@@ -811,17 +609,10 @@ impl Simulation {
         let sink = &*self.sink;
         sink.add(keys::RUNS, 1);
         sink.add(dispatch, 1);
-        // A lane run computes at least one Threefry block per batch
-        // (every rule has a player, every run a batch), so a nonzero
-        // block count identifies the lane path exactly.
-        if totals.lane_blocks > 0 {
-            sink.add(keys::DISPATCH_LANE, 1);
-        }
         sink.add(keys::TRIALS, self.trials);
         sink.add(keys::WINS, totals.wins);
         sink.add(keys::BATCHES, totals.batches);
         sink.add(keys::RNG_DRAWS, totals.draws);
-        sink.add(keys::RNG_REFILLS, totals.refills);
         sink.add(keys::RNG_LANE_BLOCKS, totals.lane_blocks);
     }
 
@@ -833,49 +624,19 @@ impl Simulation {
             batch_size: self.batch_size,
             delta,
             p_crash,
-            draw_fault: p_crash > 0.0 || self.fault_stream == FaultStream::CommonRandomNumbers,
         }
     }
 
-    /// Runs a hinted kernel on the configured [`KernelStream`]: the
-    /// stream-v3 lane loop at the chosen width (monomorphized per
-    /// width), or the sequential v2 loop for bit-exact comparison
-    /// with the opaque/dyn paths.
-    fn run_hinted<K: LaneKernel + Send + Sync + 'static>(
-        &self,
-        kernel: K,
-        params: TrialParams,
-    ) -> BatchTotals {
-        match self.kernel_stream {
-            KernelStream::Lanes(LaneWidth::W1) => {
-                self.run_owned(LaneLoop::<K, 1> { kernel }, params)
-            }
-            KernelStream::Lanes(LaneWidth::W8) => {
-                self.run_owned(LaneLoop::<K, 8> { kernel }, params)
-            }
-            KernelStream::Lanes(LaneWidth::W16) => {
-                self.run_owned(LaneLoop::<K, 16> { kernel }, params)
-            }
-            KernelStream::Sequential => {
-                self.run_owned(SequentialLoop::<K, BufferedUniforms>::new(kernel), params)
-            }
-        }
-    }
-
-    /// Runs an owned (`'static`) trial loop — sequentially, or on the
+    /// Runs an owned (`'static`) kernel — sequentially, or on the
     /// persistent pool when parallelism is planned.
-    fn run_owned<T: TrialLoop + Send + 'static>(
-        &self,
-        trial_loop: T,
-        params: TrialParams,
-    ) -> BatchTotals {
+    fn run_owned<K: Kernel + Send + 'static>(&self, kernel: K, params: TrialParams) -> BatchTotals {
         let batches = params.trials.div_ceil(params.batch_size);
         let workers = self.planned_workers();
         if workers == 1 {
             let mut totals = BatchTotals::default();
             for batch in 0..batches {
                 totals.merge(execute_batch(
-                    &trial_loop,
+                    &kernel,
                     params,
                     batch,
                     self.chaos.as_deref(),
@@ -885,11 +646,11 @@ impl Simulation {
             }
             totals
         } else {
-            self.run_pooled(trial_loop, params, batches, workers)
+            self.run_pooled(kernel, params, batches, workers)
         }
     }
 
-    /// Ships an owned trial loop to the persistent pool: `workers - 1`
+    /// Ships an owned kernel to the persistent pool: `workers - 1`
     /// pool jobs plus the calling thread drain a shared batch
     /// counter, each completed batch reporting `(index, totals)` back
     /// to this coordinating thread.
@@ -902,9 +663,9 @@ impl Simulation {
     /// Determinism does not depend on any of this: batch `i`'s RNG
     /// stream is a pure function of `(seed, i)` and the totals are
     /// summed commutatively over exactly one completion per batch.
-    fn run_pooled<T: TrialLoop + Send + 'static>(
+    fn run_pooled<K: Kernel + Send + 'static>(
         &self,
-        trial_loop: T,
+        kernel: K,
         params: TrialParams,
         batches: u64,
         workers: usize,
@@ -922,7 +683,7 @@ impl Simulation {
         self.inject_worker_exits(pool);
         let deadline = Deadline::after(self.batch_deadline);
         let run = Arc::new(PooledRun {
-            trial_loop,
+            kernel,
             params,
             batches,
             next: AtomicU64::new(0),
@@ -954,7 +715,7 @@ impl Simulation {
                 break;
             }
             let totals = execute_batch(
-                &run.trial_loop,
+                &run.kernel,
                 params,
                 batch,
                 self.chaos.as_deref(),
@@ -981,7 +742,7 @@ impl Simulation {
             if !ledger.is_done(batch) {
                 self.sink.add(keys::RECOVERED_BATCHES, 1);
                 let totals = execute_batch(
-                    &run.trial_loop,
+                    &run.kernel,
                     params,
                     batch,
                     self.chaos.as_deref(),
@@ -1029,16 +790,16 @@ impl Simulation {
         }
     }
 
-    /// Runs a borrowed trial loop — sequentially, or on per-run
-    /// scoped threads. Borrowed loops (the [`GenericKernel`]
-    /// fallback) cannot ride the persistent pool, whose jobs must be
-    /// `'static`.
+    /// Runs a borrowed kernel — sequentially, or on per-run scoped
+    /// threads. Borrowed kernels (the [`GenericKernel`] fallback,
+    /// which holds the caller's rule) cannot ride the persistent
+    /// pool, whose jobs must be `'static`.
     ///
     /// Scoped workers recover injected faults in place (the
     /// [`Attempt::Coordinator`] policy): scope joins are reliable and
     /// stalls are finite, so there is no lost-batch reclaim to
     /// exercise here and every wait stays bounded.
-    fn run_borrowed<T: TrialLoop>(&self, trial_loop: &T, params: TrialParams) -> BatchTotals {
+    fn run_borrowed<K: Kernel>(&self, kernel: &K, params: TrialParams) -> BatchTotals {
         let batches = params.trials.div_ceil(params.batch_size);
         let workers = self.planned_workers();
         let chaos = self.chaos.as_deref();
@@ -1046,7 +807,7 @@ impl Simulation {
             let mut totals = BatchTotals::default();
             for batch in 0..batches {
                 totals.merge(execute_batch(
-                    trial_loop,
+                    kernel,
                     params,
                     batch,
                     chaos,
@@ -1072,7 +833,7 @@ impl Simulation {
                             break;
                         }
                         local.merge(execute_batch(
-                            trial_loop,
+                            kernel,
                             params,
                             batch,
                             chaos,
@@ -1098,87 +859,28 @@ impl Simulation {
     }
 }
 
-/// The generator for batch `batch` of a run seeded with `seed`: a
-/// pure function of `(seed, batch)`, shared with the instrumented
-/// [`load_stats`](crate::load_stats) loop so its draws are
-/// bit-identical to the engine's.
-pub(crate) fn batch_rng(seed: u64, batch: u64) -> StdRng {
-    StdRng::seed_from_u64(splitmix(seed ^ batch.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
-}
-
-/// Runs one deterministic batch: the RNG stream depends only on
-/// `(params.seed, batch)`. Monomorphized over both the kernel and the
-/// uniform source, so the compiled loop has the decision and the
-/// sampling inlined.
-fn run_batch<K: Kernel, U: UniformSource>(
-    kernel: &K,
-    params: TrialParams,
-    batch: u64,
-) -> BatchTotals {
-    // Precondition for determinism: the batch index must address a
-    // real slice of the trial range; the RNG stream below is a pure
-    // function of `(params.seed, batch)` and nothing else.
-    contracts::invariant!(
-        batch * params.batch_size < params.trials,
-        "batch out of range"
-    );
-    let start = batch * params.batch_size;
-    let count = params.batch_size.min(params.trials - start);
-    let mut uniforms = U::from(batch_rng(params.seed, batch));
-    let n = kernel.players();
-    let mut wins = 0u64;
-    for _ in 0..count {
-        let mut sums = [0.0f64; 2];
-        for player in 0..n {
-            let input = uniforms.next_unit();
-            let coin = uniforms.next_unit();
-            if params.draw_fault {
-                let fault = uniforms.next_unit();
-                if fault < params.p_crash {
-                    continue; // crashed: the input reaches neither bin
-                }
-            }
-            match kernel.decide(player, input, coin) {
-                Bin::Zero => sums[0] += input,
-                Bin::One => sums[1] += input,
-            }
-        }
-        if sums[0] <= params.delta && sums[1] <= params.delta {
-            wins += 1;
-        }
-    }
-    contracts::invariant!(wins <= count, "batch wins exceed batch size");
-    BatchTotals {
-        wins,
-        draws: uniforms.draws(),
-        refills: uniforms.refills(),
-        lane_blocks: 0,
-        batches: 1,
-    }
-}
-
-/// The Threefry key for a run seeded with `seed` — the stream-v3
-/// analogue of [`batch_rng`], shared with the instrumented
-/// [`load_stats`](crate::load_stats) replay so its draws are
-/// bit-identical to the engine's. Batch and trial live in the
+/// The Threefry key for a run seeded with `seed`, shared with the
+/// instrumented [`load_stats`](crate::load_stats) replay so its draws
+/// are bit-identical to the engine's. Batch and trial live in the
 /// counter, not the key, so one key covers the whole run.
 pub(crate) fn lane_key(seed: u64) -> CounterKey {
     CounterKey::from_seed(seed)
 }
 
-/// Runs one batch on the stream-v3 counter generator, `L` trials
-/// (lanes) per inner step. Monomorphized over the kernel and the lane
-/// width.
+/// Runs one batch on the counter-addressed draws, `L` trials (lanes)
+/// per inner step. Monomorphized over the kernel and the lane
+/// width. Must stay pure per batch — a function of its arguments
+/// only — which is what makes chaos re-execution and coordinator
+/// reclaim bit-identical.
 ///
 /// Trial `t`'s uniform `(kind, p)` is word `p mod 4` of the Threefry
 /// block at counter `[batch, t, kind · 2³² + p / 4,
 /// LANE_STREAM_DOMAIN]` ([`lane_draw`] replays one). For each lane
 /// group and each player block `k`, the loop computes the input block
 /// for all `L` trials at once, plus the coin block only when the
-/// kernel reads coins ([`LaneKernel::USES_COINS`]) and the fault
-/// block only under [`TrialParams::draw_fault`] — so both
-/// [`FaultStream`] modes keep their semantics while e.g. a threshold
-/// rule's crash-free run evaluates one block per four players. The
+/// kernel reads coins ([`Kernel::USES_COINS`]) and the fault block
+/// only when `p_crash > 0` — so e.g. a threshold rule's crash-free
+/// run evaluates one block per four players. The
 /// block's words are converted and folded into the bin sums of its
 /// (at most four) players right away: no uniform is stored, no row
 /// is copied, and the batch allocates nothing.
@@ -1194,7 +896,7 @@ pub(crate) fn lane_key(seed: u64) -> CounterKey {
 /// the waste harmless and the loop shape uniform.
 ///
 /// [`lane_draw`]: crate::kernel::lane_draw
-fn run_lane_batch<K: LaneKernel, const L: usize>(
+fn run_lane_batch<K: Kernel, const L: usize>(
     kernel: &K,
     params: TrialParams,
     batch: u64,
@@ -1207,8 +909,9 @@ fn run_lane_batch<K: LaneKernel, const L: usize>(
     let count = params.batch_size.min(params.trials - start);
     let n = kernel.players();
     let key = lane_key(params.seed);
-    let per_player = if params.draw_fault { 3 } else { 2 };
-    let planes = 1 + u64::from(K::USES_COINS) + u64::from(params.draw_fault);
+    let draw_fault = params.p_crash > 0.0;
+    let per_player = if draw_fault { 3 } else { 2 };
+    let planes = 1 + u64::from(K::USES_COINS) + u64::from(draw_fault);
     let blocks = n.div_ceil(4);
     let mut wins = 0u64;
     let mut trial0 = 0u64;
@@ -1233,7 +936,7 @@ fn run_lane_batch<K: LaneKernel, const L: usize>(
             };
             let first = 4 * k;
             let words = (n - first).min(4);
-            if params.draw_fault {
+            if draw_fault {
                 ctr[2] = plane(DrawKind::Fault);
                 let faults = threefry4x64_lanes::<L>(&key, &ctr);
                 for w in 0..words {
@@ -1271,18 +974,17 @@ fn run_lane_batch<K: LaneKernel, const L: usize>(
     contracts::invariant!(wins <= count, "batch wins exceed batch size");
     BatchTotals {
         wins,
-        // Logical draws: the same conservation quantity the
-        // sequential sources count (tail-lane waste is compute, not
-        // stream consumption — nothing downstream ever sees it).
+        // Logical draws (tail-lane waste is compute, not stream
+        // consumption — nothing downstream ever sees it).
         draws: count * (n as u64) * per_player as u64,
-        refills: 0,
         lane_blocks: count.div_ceil(L as u64) * blocks as u64 * planes,
         batches: 1,
     }
 }
 
-/// SplitMix64 finalizer, decorrelating derived seeds (per-batch here,
-/// per-grid-point in [`crate::sweep_threshold`]).
+/// SplitMix64 finalizer, decorrelating derived seeds (per grid point
+/// in [`crate::sweep_threshold`], per planned fault in the chaos
+/// layer).
 pub(crate) fn splitmix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -1294,15 +996,16 @@ pub(crate) fn splitmix(mut x: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::kernel::lane_draw;
+    use decision::rules::{BinZeroSet, GeneralRule};
     use decision::{ObliviousAlgorithm, SingleThresholdAlgorithm};
     use rational::Rational;
 
     #[test]
     fn stream_version_is_pinned() {
         // Bump deliberately (with the module-docs history updated)
-        // whenever a stream-critical fn changes (v4: same draws as
-        // v3, fused lane loop).
-        assert_eq!(RNG_STREAM_VERSION, 4);
+        // whenever a stream-critical fn changes (v5: every rule on
+        // the lane kernel, no sequential stream).
+        assert_eq!(RNG_STREAM_VERSION, 5);
     }
 
     #[test]
@@ -1444,71 +1147,35 @@ mod tests {
         fn n(&self) -> usize {
             self.0.n()
         }
-        fn decide(&self, player: usize, input: f64, coin: f64) -> Bin {
+        fn decide(&self, player: usize, input: f64, coin: f64) -> decision::Bin {
             self.0.decide(player, input, coin)
         }
     }
 
     #[test]
-    fn dispatch_paths_are_bit_identical() {
-        // On the sequential stream, run (kernel + buffered), run over
-        // an opaque wrapper (virtual decide + buffered), and run_dyn
-        // (virtual decide + scalar draws) must agree exactly: kernels
-        // and buffering are transparent views of one logical stream.
-        // `KernelStream::Sequential` keeps hinted rules on that
-        // stream; the default lane path has its own invariance tests
-        // below.
-        let threshold = SingleThresholdAlgorithm::symmetric(4, Rational::ratio(5, 8)).unwrap();
-        let oblivious = ObliviousAlgorithm::fair(4);
-        for p_crash in [0.0, 0.3] {
-            let sim = Simulation::new(40_000, 31)
-                .with_batch_size(3_000)
-                .with_kernel_stream(KernelStream::Sequential);
-            let fast = sim.run_with_crashes(&threshold, 1.0, p_crash);
-            assert_eq!(
-                sim.run_with_crashes(&Opaque(&threshold), 1.0, p_crash),
-                fast
-            );
-            assert_eq!(sim.run_dyn_with_crashes(&threshold, 1.0, p_crash), fast);
-            let fast = sim.run_with_crashes(&oblivious, 1.0, p_crash);
-            assert_eq!(
-                sim.run_with_crashes(&Opaque(&oblivious), 1.0, p_crash),
-                fast
-            );
-            assert_eq!(sim.run_dyn_with_crashes(&oblivious, 1.0, p_crash), fast);
-        }
-    }
-
-    #[test]
-    fn lane_widths_are_bit_identical() {
-        // Stream v3 makes every draw a pure function of
-        // (seed, batch, trial, draw), so the lane width is pure
-        // compute shape: W1, W8, and W16 partition the same trials
-        // and must report byte-equal results.
+    fn opaque_and_hinted_dispatch_are_bit_identical() {
+        // Every kernel runs on the same lane loop and the same
+        // counter draws, so hiding a rule's structure changes the
+        // dispatch but not one bit of the report.
         let threshold = SingleThresholdAlgorithm::symmetric(4, Rational::ratio(5, 8)).unwrap();
         let oblivious = ObliviousAlgorithm::fair(4);
         let rules: [&dyn decision::LocalRule; 2] = [&threshold, &oblivious];
         for rule in rules {
             for p_crash in [0.0, 0.3] {
-                let base = Simulation::new(40_000, 31)
-                    .with_batch_size(3_000)
-                    .run_with_crashes(rule, 1.0, p_crash);
-                for width in [LaneWidth::W1, LaneWidth::W8, LaneWidth::W16] {
-                    let r = Simulation::new(40_000, 31)
-                        .with_batch_size(3_000)
-                        .with_lane_width(width)
-                        .run_with_crashes(rule, 1.0, p_crash);
-                    assert_eq!(r, base, "width {width:?}, p_crash {p_crash}");
-                }
+                let sim = Simulation::new(40_000, 31).with_batch_size(3_000);
+                assert_eq!(
+                    sim.run_with_crashes(&Opaque(rule), 1.0, p_crash),
+                    sim.run_with_crashes(rule, 1.0, p_crash),
+                    "p_crash {p_crash}"
+                );
             }
         }
     }
 
     /// The branchy scalar reference for one lane batch: every draw
-    /// replayed one block at a time through `lane_draw`, every
-    /// decision through [`Kernel::decide`], crashed players skipped
-    /// with `continue` — the shape of the sequential loop, on the
-    /// counter-addressed stream.
+    /// replayed one block at a time through `lane_draw`, crashed
+    /// players skipped with `continue`, each surviving input added to
+    /// the bin its decision names.
     fn replay_lane_batch<K: Kernel>(kernel: &K, params: TrialParams, batch: u64) -> u64 {
         let key = lane_key(params.seed);
         let count = params
@@ -1519,13 +1186,14 @@ mod tests {
             let mut sums = [0.0f64; 2];
             for player in 0..kernel.players() {
                 let draw = |kind| lane_draw(&key, batch, trial, kind, player);
-                if params.draw_fault && draw(DrawKind::Fault) < params.p_crash {
+                if params.p_crash > 0.0 && draw(DrawKind::Fault) < params.p_crash {
                     continue;
                 }
                 let input = draw(DrawKind::Input);
-                match kernel.decide(player, input, draw(DrawKind::Coin)) {
-                    Bin::Zero => sums[0] += input,
-                    Bin::One => sums[1] += input,
+                if kernel.sends_to_zero(player, input, draw(DrawKind::Coin)) {
+                    sums[0] += input;
+                } else {
+                    sums[1] += input;
                 }
             }
             wins += u64::from(sums[0] <= params.delta && sums[1] <= params.delta);
@@ -1537,12 +1205,13 @@ mod tests {
     fn lane_batches_match_a_branchy_scalar_replay() {
         // The fused lane loop — blocks consumed in registers, masks
         // instead of branches — must count exactly the wins of the
-        // scalar replay, at every width, for both hinted kernels,
-        // with and without fault draws. Five players leave the second
-        // block of every plane partly unused; 237 trials in batches
-        // of 160 leave a 77-trial tail batch, a multiple of neither 8
-        // nor 16.
-        fn check<K: LaneKernel, const L: usize>(kernel: &K, params: TrialParams) -> u64 {
+        // scalar replay at every width (W1 and W8 against the
+        // engine's W16), for both hinted kernels and the opaque
+        // fallback, with and without crashes. Five players leave the
+        // second block of every plane partly unused; 237 trials in
+        // batches of 160 leave a 77-trial tail batch, a multiple of
+        // neither 8 nor 16.
+        fn check<K: Kernel, const L: usize>(kernel: &K, params: TrialParams) -> u64 {
             let mut wins = 0;
             for batch in 0..params.trials.div_ceil(params.batch_size) {
                 let lane = run_lane_batch::<K, L>(kernel, params, batch).wins;
@@ -1556,87 +1225,34 @@ mod tests {
             }
             wins
         }
-        fn all_widths<K: LaneKernel>(kernel: &K, params: TrialParams) {
-            let wins = check::<K, 1>(kernel, params);
+        fn all_widths<K: Kernel>(kernel: &K, params: TrialParams) {
+            let wins = check::<K, LANES>(kernel, params);
+            assert_eq!(check::<K, 1>(kernel, params), wins);
             assert_eq!(check::<K, 8>(kernel, params), wins);
-            assert_eq!(check::<K, 16>(kernel, params), wins);
             // Neither all nor nothing: the comparison has teeth.
             assert!(0 < wins && wins < params.trials, "wins {wins}");
         }
         let threshold = ThresholdKernel::new(vec![0.55, 0.7, 0.4, 0.62, 0.9]);
         let oblivious = ObliviousKernel::new(vec![0.5, 0.3, 0.8, 0.45, 0.6]);
-        // (p_crash, draw_fault): crash-free, crash-free under common
-        // random numbers (fault plane drawn, never fires), crashing.
-        for (p_crash, draw_fault) in [(0.0, false), (0.0, true), (0.3, true)] {
+        // Bin 0 on [0, 1/4] ∪ [3/4, 1]: no threshold or coin shape.
+        let middle_out = BinZeroSet::new(vec![
+            (Rational::zero(), Rational::ratio(1, 4)),
+            (Rational::ratio(3, 4), Rational::one()),
+        ])
+        .unwrap();
+        let general = GeneralRule::new(vec![middle_out; 5]).unwrap();
+        for p_crash in [0.0, 0.3] {
             let params = TrialParams {
                 seed: 17,
                 trials: 237,
                 batch_size: 160,
                 delta: 5.0 / 3.0,
                 p_crash,
-                draw_fault,
             };
             all_widths(&threshold, params);
             all_widths(&oblivious, params);
+            all_widths(&GenericKernel(&general), params);
         }
-    }
-
-    #[test]
-    fn lane_and_sequential_streams_differ_but_agree_statistically() {
-        // The v3 counter stream is deliberately NOT draw-for-draw
-        // equal to the v2 sequential stream (different generators,
-        // different addressing) — but both are uniform, so the two
-        // estimates agree within Monte-Carlo error.
-        let rule = ObliviousAlgorithm::fair(3);
-        let lane = Simulation::new(400_000, 5).run(&rule, 1.0);
-        let sequential = Simulation::new(400_000, 5)
-            .with_kernel_stream(KernelStream::Sequential)
-            .run(&rule, 1.0);
-        assert_ne!(lane.wins, sequential.wins, "streams should be independent");
-        assert!(lane.agrees_with(sequential.estimate, 4.0), "{lane}");
-    }
-
-    #[test]
-    fn fault_stream_modes_agree_when_crashes_possible() {
-        // At p_crash > 0 the fault coin is drawn in both modes, so
-        // the streams — and hence the reports — are identical.
-        let rule = SingleThresholdAlgorithm::symmetric(3, Rational::ratio(1, 2)).unwrap();
-        let on_demand = Simulation::new(50_000, 13).run_with_crashes(&rule, 1.0, 0.3);
-        let common = Simulation::new(50_000, 13)
-            .with_fault_stream(FaultStream::CommonRandomNumbers)
-            .run_with_crashes(&rule, 1.0, 0.3);
-        assert_eq!(on_demand, common);
-    }
-
-    #[test]
-    fn fault_stream_modes_coincide_at_zero_crash_on_the_lane_stream() {
-        // Stream v3 addresses each draw kind in its own counter
-        // plane, so whether the fault plane is generated cannot
-        // perturb the input/coin draws: at p_crash = 0 the two fault
-        // stream modes are bit-identical — the common-random-numbers
-        // pairing the mode exists for is automatic on the lane path.
-        let rule = ObliviousAlgorithm::fair(3);
-        let on_demand = Simulation::new(50_000, 13).run(&rule, 1.0);
-        let common = Simulation::new(50_000, 13)
-            .with_fault_stream(FaultStream::CommonRandomNumbers)
-            .run(&rule, 1.0);
-        assert_eq!(on_demand, common);
-    }
-
-    #[test]
-    fn fault_stream_modes_diverge_at_zero_crash_on_the_sequential_stream() {
-        // The v2 sequential stream interleaves draws per player, so
-        // at p_crash = 0 the default mode consumes two uniforms per
-        // player and the common-random-numbers mode three: different
-        // streams, different (equally valid) estimates.
-        let rule = ObliviousAlgorithm::fair(3);
-        let sim = Simulation::new(50_000, 13).with_kernel_stream(KernelStream::Sequential);
-        let on_demand = sim.run(&rule, 1.0);
-        let common = sim
-            .clone()
-            .with_fault_stream(FaultStream::CommonRandomNumbers)
-            .run(&rule, 1.0);
-        assert_ne!(on_demand.wins, common.wins);
     }
 
     #[test]
@@ -1674,9 +1290,10 @@ mod tests {
     #[test]
     fn more_crashes_help_with_tight_capacity() {
         let rule = ObliviousAlgorithm::fair(5);
-        // Common random numbers: both fault rates see the same inputs,
-        // isolating the effect of the crashes themselves.
-        let sim = Simulation::new(150_000, 4).with_fault_stream(FaultStream::CommonRandomNumbers);
+        // Crash coins have their own counter plane, so both fault
+        // rates see the same inputs and coins (common random
+        // numbers), isolating the effect of the crashes themselves.
+        let sim = Simulation::new(150_000, 4);
         let reliable = sim.run_with_crashes(&rule, 1.0, 0.0);
         let flaky = sim.run_with_crashes(&rule, 1.0, 0.5);
         assert!(flaky.estimate > reliable.estimate);
@@ -1687,13 +1304,6 @@ mod tests {
     fn crash_probability_validated() {
         let rule = ObliviousAlgorithm::fair(2);
         let _ = Simulation::new(10, 1).run_with_crashes(&rule, 1.0, 1.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "crash probability range")]
-    fn dyn_crash_probability_validated() {
-        let rule = ObliviousAlgorithm::fair(2);
-        let _ = Simulation::new(10, 1).run_dyn_with_crashes(&rule, 1.0, -0.5);
     }
 
     #[test]

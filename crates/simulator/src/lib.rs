@@ -10,16 +10,16 @@
 //!    across a persistent pool of worker threads with deterministic
 //!    per-batch seeding (same seed ⇒ same estimate, regardless of
 //!    thread count, scheduling, or pool reuse). The hot loop is
-//!    monomorphized per rule family and fed by a buffered uniform
-//!    sampler; see the [`engine`](Simulation) docs for the dispatch
-//!    layers and the RNG stream-version history.
+//!    monomorphized per rule family and fed by counter-addressed
+//!    Threefry draws; see the [`engine`](Simulation) docs for the
+//!    dispatch layers and the RNG stream-version history.
 //! 2. **Structural fidelity** — [`DistributedSimulation`] runs each
 //!    player as its own thread that receives *only its own input* over
 //!    a channel and replies with a bin choice, so the
 //!    no-communication constraint is enforced by the architecture,
 //!    not just by convention.
 //! 3. **Fault tolerance** — a deterministic chaos layer ([`ChaosPlan`])
-//!    injects worker panics, stragglers, poisoned RNG refills, and
+//!    injects worker panics, stragglers, poisoned batch draws, and
 //!    worker-thread deaths into the engine's own machinery. Because a
 //!    batch's RNG stream is a pure function of `(seed, batch)`, lost
 //!    work is re-executed bit-identically: reports under faults are
@@ -60,7 +60,7 @@ pub use antithetic::{run_antithetic, AntitheticReport};
 pub use chaos::{ChaosPlan, FaultKind};
 pub use checkpoint::{SweepCheckpoint, SWEEP_CHECKPOINT_SCHEMA};
 pub use distributed::DistributedSimulation;
-pub use engine::{FaultStream, KernelStream, LaneWidth, Simulation, RNG_STREAM_VERSION};
+pub use engine::{Simulation, RNG_STREAM_VERSION};
 pub use error::{SimulationError, SweepError};
 pub use metrics::{keys, EngineMetrics, MetricsSnapshot};
 pub use omniscient::full_information_win_rate;

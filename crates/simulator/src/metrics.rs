@@ -30,8 +30,8 @@
 //! assert_eq!(snap.trials, 50_000);
 //! assert_eq!(snap.wins, report.wins);
 //! assert_eq!(snap.dispatch_oblivious, 1);
-//! // Crash-free stream: two uniforms per player per trial —
-//! // logical draws, identical on the lane and sequential paths.
+//! // Crash-free stream: two logical uniforms (input and coin) per
+//! // player per trial.
 //! assert_eq!(snap.rng_draws, 50_000 * 3 * 2);
 //! ```
 
@@ -44,7 +44,7 @@ use std::path::Path;
 /// Counters unless noted; histogram keys say so. Third-party
 /// [`MetricsSink`] implementations can route any subset of these.
 pub mod keys {
-    /// Completed `run*`/`run_dyn*` calls (counter).
+    /// Completed `run*` calls (counter).
     pub const RUNS: &str = "engine.runs";
     /// Trials simulated across all runs (counter).
     pub const TRIALS: &str = "engine.trials";
@@ -53,7 +53,7 @@ pub mod keys {
     /// Batches executed across all runs, every path (counter).
     pub const BATCHES: &str = "engine.batches";
     /// Batch re-executions performed by the fault-recovery layer —
-    /// in-place retries after an injected panic or poisoned refill,
+    /// in-place retries after an injected panic or poisoned draws,
     /// plus coordinator reclaims of batches a lost worker never
     /// reported (counter; zero on a fault-free run).
     pub const RECOVERED_BATCHES: &str = "engine.recovered_batches";
@@ -69,20 +69,10 @@ pub mod keys {
     /// Runs dispatched onto the generic per-decision fallback
     /// (counter).
     pub const DISPATCH_OPAQUE: &str = "engine.dispatch.opaque";
-    /// Runs through the deliberate `run_dyn*` baseline (counter).
-    pub const DISPATCH_DYN: &str = "engine.dispatch.dyn";
-    /// Runs that executed on the lane-batched v3 counter-stream
-    /// kernel (counter; hinted runs only, and only when
-    /// `KernelStream::Sequential` was not requested).
-    pub const DISPATCH_LANE: &str = "engine.dispatch.lane";
-    /// Uniform samples handed to trial loops (counter; logical draws
-    /// — the lane path reports the same `trials × n × per_player`
-    /// total as the sequential stream it replaces).
+    /// Uniform samples handed to trial loops (counter; logical draws,
+    /// `trials × n × per_player`, whichever planes the kernel
+    /// actually generates).
     pub const RNG_DRAWS: &str = "rng.draws";
-    /// `BufferedUniforms` chunk refills (counter; scalar sources
-    /// never refill, and the lane path reports zero — see
-    /// [`RNG_LANE_BLOCKS`]).
-    pub const RNG_REFILLS: &str = "rng.refills";
     /// Lane blocks evaluated by the lane kernel (counter). One count
     /// is one `L`-wide lane block — a single `threefry4x64_lanes::<L>`
     /// call, i.e. `L` scalar Threefry-4×64 blocks, one per trial of
@@ -160,10 +150,7 @@ pub struct EngineMetrics {
     dispatch_threshold: Counter,
     dispatch_oblivious: Counter,
     dispatch_opaque: Counter,
-    dispatch_dyn: Counter,
-    dispatch_lane: Counter,
     rng_draws: Counter,
-    rng_refills: Counter,
     rng_lane_blocks: Counter,
     pool_jobs: Counter,
     pool_batches: Counter,
@@ -210,10 +197,7 @@ impl EngineMetrics {
             dispatch_threshold: self.dispatch_threshold.get(),
             dispatch_oblivious: self.dispatch_oblivious.get(),
             dispatch_opaque: self.dispatch_opaque.get(),
-            dispatch_dyn: self.dispatch_dyn.get(),
-            dispatch_lane: self.dispatch_lane.get(),
             rng_draws: self.rng_draws.get(),
-            rng_refills: self.rng_refills.get(),
             rng_lane_blocks: self.rng_lane_blocks.get(),
             pool_jobs: self.pool_jobs.get(),
             pool_batches: self.pool_batches.get(),
@@ -250,10 +234,7 @@ impl EngineMetrics {
             keys::DISPATCH_THRESHOLD => &self.dispatch_threshold,
             keys::DISPATCH_OBLIVIOUS => &self.dispatch_oblivious,
             keys::DISPATCH_OPAQUE => &self.dispatch_opaque,
-            keys::DISPATCH_DYN => &self.dispatch_dyn,
-            keys::DISPATCH_LANE => &self.dispatch_lane,
             keys::RNG_DRAWS => &self.rng_draws,
-            keys::RNG_REFILLS => &self.rng_refills,
             keys::RNG_LANE_BLOCKS => &self.rng_lane_blocks,
             keys::POOL_JOBS => &self.pool_jobs,
             keys::POOL_BATCHES => &self.pool_batches,
@@ -297,7 +278,7 @@ impl MetricsSink for EngineMetrics {
 /// A frozen copy of an [`EngineMetrics`] registry.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    /// Completed `run*`/`run_dyn*` calls.
+    /// Completed `run*` calls.
     pub runs: u64,
     /// Trials simulated across all runs.
     pub trials: u64,
@@ -315,14 +296,8 @@ pub struct MetricsSnapshot {
     pub dispatch_oblivious: u64,
     /// Runs dispatched onto the generic per-decision fallback.
     pub dispatch_opaque: u64,
-    /// Runs through the deliberate `run_dyn*` baseline.
-    pub dispatch_dyn: u64,
-    /// Runs executed on the lane-batched v3 counter-stream kernel.
-    pub dispatch_lane: u64,
     /// Uniform samples handed to trial loops (logical draws).
     pub rng_draws: u64,
-    /// `BufferedUniforms` chunk refills.
-    pub rng_refills: u64,
     /// Threefry-4×64 counter blocks evaluated by the lane kernel.
     pub rng_lane_blocks: u64,
     /// Jobs executed by pool workers.
@@ -381,10 +356,7 @@ impl MetricsSnapshot {
             (keys::DISPATCH_THRESHOLD, self.dispatch_threshold),
             (keys::DISPATCH_OBLIVIOUS, self.dispatch_oblivious),
             (keys::DISPATCH_OPAQUE, self.dispatch_opaque),
-            (keys::DISPATCH_DYN, self.dispatch_dyn),
-            (keys::DISPATCH_LANE, self.dispatch_lane),
             (keys::RNG_DRAWS, self.rng_draws),
-            (keys::RNG_REFILLS, self.rng_refills),
             (keys::RNG_LANE_BLOCKS, self.rng_lane_blocks),
             (keys::POOL_JOBS, self.pool_jobs),
             (keys::POOL_BATCHES, self.pool_batches),
@@ -519,7 +491,7 @@ mod tests {
         }
         // ...and the snapshot reflects each increment exactly once.
         assert!(m.snapshot().counters().iter().all(|(_, v)| *v == 1));
-        assert_eq!(listed.len(), 31);
+        assert_eq!(listed.len(), 28);
     }
 
     #[test]

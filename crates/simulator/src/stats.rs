@@ -9,20 +9,15 @@
 //! private scalar stream and disagreed with the engine (the regression
 //! test below pins the fix).
 //!
-//! Hinted rules replay the stream-v3 counter addressing the engine's
-//! default lane path uses (scalar [`lane_draw`] replays are
-//! bit-identical to any lane width because every draw is a pure
-//! function of `(seed, batch, trial, draw)`); opaque rules replay the
-//! sequential buffered v2 stream, matching the engine's opaque
-//! fallback.
+//! Every rule replays the counter addressing of the engine's lane
+//! loop: scalar [`lane_draw`] replays are bit-identical to any lane
+//! width because every draw is a pure function of
+//! `(seed, batch, trial, kind, player)`.
 
-use crate::engine::{batch_rng, lane_key, DEFAULT_BATCH_SIZE};
-use crate::kernel::{
-    lane_draw, BufferedUniforms, DrawKind, GenericKernel, Kernel, ObliviousKernel, ThresholdKernel,
-    UniformSource,
-};
+use crate::engine::{lane_key, DEFAULT_BATCH_SIZE};
+use crate::kernel::{lane_draw, DrawKind, GenericKernel, Kernel, ObliviousKernel, ThresholdKernel};
 use crate::SimulationReport;
-use decision::{Bin, KernelHint, LocalRule};
+use decision::{KernelHint, LocalRule};
 
 /// Per-bin load statistics from an instrumented simulation run.
 #[derive(Clone, Debug, PartialEq)]
@@ -58,10 +53,9 @@ struct LoadAccumulator {
 /// Runs an instrumented (single-threaded, deterministic) simulation
 /// collecting per-bin load statistics.
 ///
-/// The trial loop is the engine's: trials are split into
-/// fixed batches, batch `i` draws from the stream derived from
-/// `(seed, i)` through the same buffered source, and the rule is
-/// dispatched onto the same monomorphized kernels via
+/// The trial loop is the engine's: trials are split into fixed
+/// batches, every draw is the engine's counter-addressed draw, and
+/// the rule is dispatched onto the same monomorphized kernels via
 /// [`decision::KernelHint`]. Only the accounting differs.
 ///
 /// # Panics
@@ -93,7 +87,7 @@ pub fn load_stats(rule: &dyn LocalRule, delta: f64, trials: u64, seed: u64) -> L
             contracts::invariant!(alpha.len() == rule.n(), "kernel hint arity");
             collect_loads_lane(&ObliviousKernel::new(alpha), delta, trials, seed)
         }
-        _ => collect_loads(&GenericKernel(rule), delta, trials, seed),
+        _ => collect_loads_lane(&GenericKernel(rule), delta, trials, seed),
     };
     let t = trials as f64;
     LoadStats {
@@ -106,40 +100,8 @@ pub fn load_stats(rule: &dyn LocalRule, delta: f64, trials: u64, seed: u64) -> L
     }
 }
 
-/// The engine's sequential (opaque-fallback) trial loop with load
-/// accounting bolted on: per-batch [`batch_rng`] streams through
-/// [`BufferedUniforms`], two uniforms per player (the crash-free v2
-/// stream shape), and the win condition evaluated on the
-/// identically-accumulated bin sums.
-fn collect_loads<K: Kernel>(kernel: &K, delta: f64, trials: u64, seed: u64) -> LoadAccumulator {
-    let mut acc = LoadAccumulator::default();
-    let n = kernel.players();
-    let batches = trials.div_ceil(DEFAULT_BATCH_SIZE);
-    for batch in 0..batches {
-        let start = batch * DEFAULT_BATCH_SIZE;
-        let count = DEFAULT_BATCH_SIZE.min(trials - start);
-        let mut uniforms = BufferedUniforms::from(batch_rng(seed, batch));
-        for _ in 0..count {
-            let mut sums = [0.0f64; 2];
-            for player in 0..n {
-                let input = uniforms.next_unit();
-                let coin = uniforms.next_unit();
-                account_choice(
-                    &mut acc,
-                    &mut sums,
-                    kernel.decide(player, input, coin),
-                    input,
-                );
-            }
-            account_trial(&mut acc, delta, sums);
-        }
-    }
-    check_inclusion_exclusion(&acc, trials);
-    acc
-}
-
 /// The engine's lane-path trial stream with load accounting bolted
-/// on: every uniform is the stream-v3 counter draw
+/// on: every uniform is the counter draw
 /// `lane_draw(seed-key, batch, trial, kind, player)`. Coins are drawn
 /// here even for rules that ignore them — the engine skips
 /// generating that plane, but the draws exist in the addressed
@@ -168,33 +130,15 @@ fn collect_loads_lane<K: Kernel>(
             for player in 0..n {
                 let input = lane_draw(&key, batch, trial, DrawKind::Input, player);
                 let coin = lane_draw(&key, batch, trial, DrawKind::Coin, player);
-                account_choice(
-                    &mut acc,
-                    &mut sums,
-                    kernel.decide(player, input, coin),
-                    input,
-                );
+                let bin = usize::from(!kernel.sends_to_zero(player, input, coin));
+                sums[bin] += input;
+                acc.occupancy[bin] += 1;
             }
             account_trial(&mut acc, delta, sums);
         }
     }
     check_inclusion_exclusion(&acc, trials);
     acc
-}
-
-/// Adds one player's input to the bin their rule chose.
-#[inline]
-fn account_choice(acc: &mut LoadAccumulator, sums: &mut [f64; 2], bin: Bin, input: f64) {
-    match bin {
-        Bin::Zero => {
-            sums[0] += input;
-            acc.occupancy[0] += 1;
-        }
-        Bin::One => {
-            sums[1] += input;
-            acc.occupancy[1] += 1;
-        }
-    }
 }
 
 /// Folds one finished trial's bin sums into the accumulator.
@@ -265,7 +209,7 @@ mod tests {
         fn n(&self) -> usize {
             self.0.n()
         }
-        fn decide(&self, player: usize, input: f64, coin: f64) -> Bin {
+        fn decide(&self, player: usize, input: f64, coin: f64) -> decision::Bin {
             self.0.decide(player, input, coin)
         }
     }

@@ -1,24 +1,21 @@
 //! Integration tests for the fault-injection and recovery layer:
 //!
 //! 1. **Bit-identity under chaos** — a run under a seeded [`ChaosPlan`]
-//!    (worker panics, poisoned refills, stragglers, worker-thread
+//!    (worker panics, poisoned draws, stragglers, worker-thread
 //!    deaths) produces a report byte-equal to the fault-free run at the
 //!    same parameters, across thread counts. Each batch's RNG stream is
 //!    a pure function of `(seed, batch)`, so re-executed work cannot
 //!    drift.
 //! 2. **Bounded waits** — a straggler outliving the batch deadline is
 //!    reclaimed by the coordinator instead of stalling the run.
-//! 3. **Crash-model edges** — `run_with_crashes` at `p_crash` 0 and 1
-//!    under both [`FaultStream`] modes.
+//! 3. **Crash-model edges** — `run_with_crashes` at `p_crash` 0 and 1.
 //! 4. **Chaotic sweeps** — a sweep driven through a chaos-carrying
 //!    engine matches the fault-free sweep point for point.
 
 use decision::SingleThresholdAlgorithm;
 use proptest::prelude::*;
 use rational::Rational;
-use simulator::{
-    sweep_threshold_with_engine, ChaosPlan, EngineMetrics, FaultKind, FaultStream, Simulation,
-};
+use simulator::{sweep_threshold_with_engine, ChaosPlan, EngineMetrics, FaultKind, Simulation};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -27,10 +24,11 @@ fn rule() -> SingleThresholdAlgorithm {
 }
 
 #[test]
-fn zero_crash_probability_is_bit_identical_to_plain_run_on_demand() {
-    // With OnDemand fault coins, p_crash = 0 draws exactly the
-    // uniforms a plain run draws, so the reports must be byte-equal.
-    let engine = Simulation::new(40_000, 9).with_fault_stream(FaultStream::OnDemand);
+fn zero_crash_probability_is_bit_identical_to_plain_run() {
+    // At p_crash = 0 no fault plane is generated and the input and
+    // coin planes are the ones a plain run reads, so the reports
+    // must be byte-equal.
+    let engine = Simulation::new(40_000, 9);
     assert_eq!(
         engine.run(&rule(), 1.0),
         engine.run_with_crashes(&rule(), 1.0, 0.0)
@@ -38,31 +36,12 @@ fn zero_crash_probability_is_bit_identical_to_plain_run_on_demand() {
 }
 
 #[test]
-fn zero_crash_probability_is_deterministic_under_common_random_numbers() {
-    // CRN always burns a fault coin, so the stream differs from a
-    // plain run's — but the estimate must agree and reruns must be
-    // byte-equal.
-    let engine = Simulation::new(40_000, 9).with_fault_stream(FaultStream::CommonRandomNumbers);
-    let crashed = engine.run_with_crashes(&rule(), 1.0, 0.0);
-    assert_eq!(crashed, engine.run_with_crashes(&rule(), 1.0, 0.0));
-    let plain = engine.run(&rule(), 1.0);
-    let combined = (crashed.std_error.powi(2) + plain.std_error.powi(2)).sqrt();
-    assert!(
-        (crashed.estimate - plain.estimate).abs() < 5.0 * combined,
-        "{crashed} vs {plain}"
-    );
-}
-
-#[test]
-fn certain_crashes_win_every_round_under_both_streams() {
+fn certain_crashes_win_every_round() {
     // All players crash, both bins stay empty, and an empty bin fits
     // any non-negative capacity.
-    for stream in [FaultStream::OnDemand, FaultStream::CommonRandomNumbers] {
-        let engine = Simulation::new(20_000, 4).with_fault_stream(stream);
-        let report = engine.run_with_crashes(&rule(), 0.25, 1.0);
-        assert_eq!(report.wins, report.trials, "{stream:?}");
-        assert_eq!(report.trials, 20_000, "{stream:?}");
-    }
+    let report = Simulation::new(20_000, 4).run_with_crashes(&rule(), 0.25, 1.0);
+    assert_eq!(report.wins, report.trials);
+    assert_eq!(report.trials, 20_000);
 }
 
 proptest! {
@@ -96,8 +75,8 @@ proptest! {
 
 #[test]
 fn recovery_counters_track_injected_faults_exactly() {
-    // A panic (in-place retry or coordinator reclaim) and a poisoned
-    // refill (always an in-place retry) each force exactly one
+    // A panic (in-place retry or coordinator reclaim) and poisoned
+    // draws (always an in-place retry) each force exactly one
     // re-execution; a short straggler under the generous default
     // deadline recovers nothing. The batch ledger still credits every
     // batch exactly once.

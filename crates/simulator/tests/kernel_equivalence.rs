@@ -1,16 +1,17 @@
 //! Property tests pinning the engine's central transparency claim:
-//! monomorphized kernels, buffered sampling, and the persistent pool
-//! are *views* of one logical computation, so every dispatch path
-//! produces a bit-identical [`simulator::SimulationReport`] for the
-//! same `(rule, seed, trials, batch size, thread count)`.
+//! monomorphized kernels, the opaque per-decision fallback, and the
+//! persistent pool are *views* of one logical computation on one
+//! counter-addressed stream, so every dispatch path produces a
+//! bit-identical [`simulator::SimulationReport`] for the same
+//! `(rule, seed, trials, batch size, thread count, p_crash)`.
 
 use decision::{Bin, LocalRule, ObliviousAlgorithm, SingleThresholdAlgorithm};
 use proptest::prelude::*;
 use rational::Rational;
-use simulator::{FaultStream, KernelStream, LaneWidth, Simulation};
+use simulator::Simulation;
 
 /// Hides a rule's [`decision::KernelHint`] so the engine takes the
-/// generic per-decision fallback while still using buffered sampling.
+/// generic per-decision fallback.
 struct Opaque<'a>(&'a dyn LocalRule);
 
 impl LocalRule for Opaque<'_> {
@@ -36,29 +37,16 @@ fn threshold_rule() -> impl Strategy<Value = SingleThresholdAlgorithm> {
         .prop_map(|thresholds| SingleThresholdAlgorithm::new(thresholds).unwrap())
 }
 
-/// The three sequential dispatch paths for one engine configuration
-/// must agree exactly: monomorphized kernel + buffered RNG, generic
-/// fallback + buffered RNG, and the fully-dynamic scalar-draw
-/// baseline. Hinted rules default to the v3 lane stream, so the
-/// kernel run is pinned to [`KernelStream::Sequential`] here; the
-/// lane path is checked separately for width invariance (same
-/// estimator, deliberately different stream).
+/// The hinted kernel and the opaque fallback must agree exactly for
+/// one engine configuration: both run the lane loop on the same
+/// counter draws, so only the dispatch differs.
 fn assert_paths_agree(rule: &dyn LocalRule, sim: &Simulation, delta: f64, p_crash: f64) {
-    let sequential = sim.clone().with_kernel_stream(KernelStream::Sequential);
-    let fast = sequential.run_with_crashes(rule, delta, p_crash);
-    let opaque = sequential.run_with_crashes(&Opaque(rule), delta, p_crash);
-    let baseline = sequential.run_dyn_with_crashes(rule, delta, p_crash);
-    assert_eq!(fast, opaque, "kernel vs generic fallback");
-    assert_eq!(fast, baseline, "kernel vs dyn baseline");
-    let lane = sim.run_with_crashes(rule, delta, p_crash);
-    for width in [LaneWidth::W1, LaneWidth::W8] {
-        let widened = sim.clone().with_lane_width(width);
-        assert_eq!(
-            widened.run_with_crashes(rule, delta, p_crash),
-            lane,
-            "lane width {width:?} vs default"
-        );
-    }
+    let fast = sim.run_with_crashes(rule, delta, p_crash);
+    let opaque = sim.run_with_crashes(&Opaque(rule), delta, p_crash);
+    assert_eq!(
+        fast, opaque,
+        "kernel vs generic fallback, p_crash {p_crash}"
+    );
 }
 
 proptest! {
@@ -92,20 +80,20 @@ proptest! {
 
     #[test]
     fn crash_fault_dispatch_paths_agree(
-        rule in threshold_rule(),
+        threshold in threshold_rule(),
+        oblivious in oblivious_rule(),
         seed in 0u64..1 << 32,
         threads in 1usize..5,
+        batch_size in 500u64..4_000,
         p_crash in 0.05f64..0.95,
     ) {
-        // p_crash > 0 draws the fault coin in both fault-stream
-        // modes, so all paths must agree under either.
-        for fault_stream in [FaultStream::OnDemand, FaultStream::CommonRandomNumbers] {
-            let sim = Simulation::new(8_000, seed)
-                .with_threads(threads)
-                .with_batch_size(1_000)
-                .with_fault_stream(fault_stream);
-            assert_paths_agree(&rule, &sim, 1.0, p_crash);
-        }
+        // p_crash > 0 generates the fault plane: the crashed players
+        // must be the same ones on both paths.
+        let sim = Simulation::new(8_000, seed)
+            .with_threads(threads)
+            .with_batch_size(batch_size);
+        assert_paths_agree(&threshold, &sim, 1.0, p_crash);
+        assert_paths_agree(&oblivious, &sim, 1.0, p_crash);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Property tests for the observability layer's central claims:
 //!
 //! 1. **Conservation** — the metrics counters are exact, not sampled:
-//!    RNG draws equal `trials × players × draws-per-player` under both
-//!    [`FaultStream`] modes, refills equal the per-batch chunk count,
-//!    and every batch drained through the persistent pool is accounted
-//!    to `pool.batches`.
+//!    RNG draws equal `trials × players × draws-per-player`, lane
+//!    blocks equal the per-batch count of generated counter blocks on
+//!    every dispatch path, and every batch drained through the
+//!    persistent pool is accounted to `pool.batches`.
 //! 2. **Transparency** — attaching a sink changes nothing: estimates
 //!    are bit-identical with [`EngineMetrics`] attached vs the default
 //!    no-op sink.
@@ -12,16 +12,11 @@
 use decision::{Bin, LocalRule, ObliviousAlgorithm, SingleThresholdAlgorithm};
 use proptest::prelude::*;
 use rational::Rational;
-use simulator::{EngineMetrics, FaultStream, KernelStream, Simulation};
+use simulator::{EngineMetrics, Simulation};
 use std::sync::Arc;
 
-/// Uniforms prefetched per `BufferedUniforms` refill; pinned by the
-/// kernel-layer unit tests, restated here for the refill conservation
-/// law.
-const CHUNK: u64 = 256;
-
 /// Hides a rule's [`decision::KernelHint`] so the engine takes the
-/// generic per-decision fallback while still using buffered sampling.
+/// generic per-decision fallback.
 struct Opaque<'a>(&'a dyn LocalRule);
 
 impl LocalRule for Opaque<'_> {
@@ -47,23 +42,6 @@ fn threshold_rule() -> impl Strategy<Value = SingleThresholdAlgorithm> {
         .prop_map(|thresholds| SingleThresholdAlgorithm::new(thresholds).unwrap())
 }
 
-/// The exact number of uniforms a run must consume, and the exact
-/// number of chunk refills the buffered source must perform: each
-/// batch of `c` trials draws `c · n · per_player` uniforms from its
-/// own fresh buffer, refilling `⌈draws / CHUNK⌉` times.
-fn expected_rng_traffic(trials: u64, batch_size: u64, n: u64, per_player: u64) -> (u64, u64) {
-    let mut draws = 0u64;
-    let mut refills = 0u64;
-    let batches = trials.div_ceil(batch_size);
-    for batch in 0..batches {
-        let count = batch_size.min(trials - batch * batch_size);
-        let batch_draws = count * n * per_player;
-        draws += batch_draws;
-        refills += batch_draws.div_ceil(CHUNK);
-    }
-    (draws, refills)
-}
-
 /// The exact number of Threefry counter blocks the lane path (width
 /// `lanes`) evaluates: each lane group covers `lanes` trials and
 /// fills `⌈n / 4⌉` four-word blocks per generated draw plane (tail
@@ -84,8 +62,8 @@ fn expected_lane_blocks(trials: u64, batch_size: u64, n: u64, planes: u64, lanes
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    // Draw/refill conservation under both fault-stream modes and
-    // both crash regimes, across every dispatch path.
+    // Draw and lane-block conservation under both crash regimes on
+    // a hinted kernel.
     #[test]
     fn rng_draws_conserve_trials_times_per_player_draws(
         rule in threshold_rule(),
@@ -94,37 +72,25 @@ proptest! {
         batch_size in 500u64..4_000,
         threads in 1usize..5,
         crashes in any::<bool>(),
-        common_randomness in any::<bool>(),
     ) {
-        let fault_stream = if common_randomness {
-            FaultStream::CommonRandomNumbers
-        } else {
-            FaultStream::OnDemand
-        };
         let p_crash = if crashes { 0.25 } else { 0.0 };
-        // v2 stream shape: the fault coin is drawn iff crashes are
-        // possible or the common-random-numbers mode forces it.
-        let per_player: u64 = if crashes || common_randomness { 3 } else { 2 };
+        // Logical draws: input and coin per player, plus the fault
+        // coin when crashes are possible.
+        let per_player: u64 = if crashes { 3 } else { 2 };
         let n = rule.n() as u64;
 
         let metrics = Arc::new(EngineMetrics::new());
         let sim = Simulation::new(trials, seed)
             .with_threads(threads)
             .with_batch_size(batch_size)
-            .with_fault_stream(fault_stream)
             .with_metrics(metrics.clone());
         let report = sim.run_with_crashes(&rule, 1.0, p_crash);
 
         let snap = metrics.snapshot();
-        // Hinted rules default onto the v3 lane path: the logical
-        // draw law is unchanged, nothing is buffered (zero refills),
-        // and the counter-block ledger replaces the refill ledger.
         // Threshold kernels are coin-blind, so the generated planes
         // are the input plane plus the fault plane when drawn.
-        let (draws, _) = expected_rng_traffic(trials, batch_size, n, per_player);
-        let planes = if crashes || common_randomness { 2 } else { 1 };
-        prop_assert_eq!(snap.rng_draws, draws);
-        prop_assert_eq!(snap.rng_refills, 0);
+        let planes = if crashes { 2 } else { 1 };
+        prop_assert_eq!(snap.rng_draws, trials * n * per_player);
         prop_assert_eq!(
             snap.rng_lane_blocks,
             expected_lane_blocks(trials, batch_size, n, planes, 16)
@@ -134,35 +100,37 @@ proptest! {
         prop_assert_eq!(snap.batches, trials.div_ceil(batch_size));
         prop_assert_eq!(snap.runs, 1);
         prop_assert_eq!(snap.dispatch_threshold, 1);
-        prop_assert_eq!(snap.dispatch_lane, 1);
     }
 
-    // The sequential opt-out keeps the exact v2 refill law (and
-    // evaluates no counter blocks at all).
+    // The opaque fallback runs on the same lane loop, but may read
+    // its coin, so it always generates the coin plane: one more
+    // plane than the coin-blind threshold kernel it hides.
     #[test]
-    fn sequential_stream_keeps_the_refill_law(
+    fn opaque_rules_generate_the_coin_plane(
         rule in threshold_rule(),
         seed in 0u64..1 << 32,
         trials in 1u64..20_000,
         batch_size in 500u64..4_000,
         threads in 1usize..5,
+        crashes in any::<bool>(),
     ) {
+        let p_crash = if crashes { 0.25 } else { 0.0 };
         let n = rule.n() as u64;
         let metrics = Arc::new(EngineMetrics::new());
         let sim = Simulation::new(trials, seed)
             .with_threads(threads)
             .with_batch_size(batch_size)
-            .with_kernel_stream(KernelStream::Sequential)
             .with_metrics(metrics.clone());
-        let _ = sim.run(&rule, 1.0);
+        let _ = sim.run_with_crashes(&Opaque(&rule), 1.0, p_crash);
 
         let snap = metrics.snapshot();
-        let (draws, refills) = expected_rng_traffic(trials, batch_size, n, 2);
-        prop_assert_eq!(snap.rng_draws, draws);
-        prop_assert_eq!(snap.rng_refills, refills);
-        prop_assert_eq!(snap.rng_lane_blocks, 0);
-        prop_assert_eq!(snap.dispatch_lane, 0);
-        prop_assert_eq!(snap.dispatch_threshold, 1);
+        let per_player: u64 = if crashes { 3 } else { 2 };
+        prop_assert_eq!(snap.rng_draws, trials * n * per_player);
+        prop_assert_eq!(
+            snap.rng_lane_blocks,
+            expected_lane_blocks(trials, batch_size, n, per_player, 16)
+        );
+        prop_assert_eq!(snap.dispatch_opaque, 1);
     }
 
     // Every batch a pooled run executes is accounted to
@@ -214,25 +182,5 @@ proptest! {
             metered.run_with_crashes(&Opaque(&rule), 1.0, 0.25),
             plain.run_with_crashes(&Opaque(&rule), 1.0, 0.25)
         );
-        prop_assert_eq!(metered.run_dyn(&rule, 1.0), plain.run_dyn(&rule, 1.0));
-    }
-
-    // `run_dyn`'s scalar baseline consumes the same logical stream:
-    // identical draw counts, zero refills (nothing is buffered).
-    #[test]
-    fn dyn_baseline_draws_match_with_zero_refills(
-        rule in oblivious_rule(),
-        seed in 0u64..1 << 32,
-        trials in 1u64..15_000,
-    ) {
-        let metrics = Arc::new(EngineMetrics::new());
-        let sim = Simulation::new(trials, seed)
-            .with_threads(1)
-            .with_metrics(metrics.clone());
-        let _ = sim.run_dyn(&rule, 1.0);
-        let snap = metrics.snapshot();
-        prop_assert_eq!(snap.rng_draws, trials * rule.n() as u64 * 2);
-        prop_assert_eq!(snap.rng_refills, 0);
-        prop_assert_eq!(snap.dispatch_dyn, 1);
     }
 }

@@ -1,7 +1,9 @@
 //! Versioned stream fixtures and replay identities for RNG stream v3
-//! (the counter-addressed lane stream). Stream v4 draws exactly what
-//! v3 draws — only the lane loop's shape changed — so the v3 goldens
-//! are also the v4 goldens.
+//! (the counter-addressed lane stream). Streams v4 and v5 draw exactly
+//! what v3 draws for hinted rules — v4 changed only the lane loop's
+//! shape, v5 moved opaque rules onto the same draws — so the v3
+//! goldens are also the v5 goldens, and v5 adds one for an opaque
+//! rule.
 //!
 //! The golden values below are **self-pinned fixtures**: they were
 //! produced by this implementation and exist to detect silent stream
@@ -11,11 +13,13 @@
 //! alongside the fingerprint re-attestation
 //! (`cargo xtask analyze --update-fingerprint`).
 
+use decision::rules::{BinZeroSet, GeneralRule};
 use decision::ObliviousAlgorithm;
 use rand::counter::{threefry4x64, word_to_unit, CounterKey};
+use rational::Rational;
 use simulator::{
-    resume_sweep, sweep_threshold, sweep_threshold_checkpointed, ChaosPlan, FaultKind,
-    KernelStream, Simulation, RNG_STREAM_VERSION,
+    resume_sweep, sweep_threshold, sweep_threshold_checkpointed, ChaosPlan, FaultKind, Simulation,
+    RNG_STREAM_VERSION,
 };
 
 fn rule() -> ObliviousAlgorithm {
@@ -23,10 +27,11 @@ fn rule() -> ObliviousAlgorithm {
 }
 
 #[test]
-fn stream_version_is_four() {
-    // v4 rewrote the lane loop without moving a draw: every v3
-    // fixture below holds unchanged at v4.
-    assert_eq!(RNG_STREAM_VERSION, 4);
+fn stream_version_is_five() {
+    // v4 rewrote the lane loop and v5 deleted the sequential stream
+    // without moving a hinted draw: every v3 fixture below holds
+    // unchanged at v5.
+    assert_eq!(RNG_STREAM_VERSION, 5);
 }
 
 #[test]
@@ -46,7 +51,7 @@ fn v3_golden_counter_block_is_pinned() {
         ]
     );
     // And the unit-interval mapping of its first word (53-bit
-    // mantissa convention, shared with the sequential stream).
+    // mantissa convention).
     assert!((word_to_unit(block[0]) - 0.121_114_660_731_648_78).abs() < 1e-18);
 }
 
@@ -62,26 +67,25 @@ fn v3_engine_reports_are_pinned() {
 }
 
 #[test]
-fn v2_sequential_reports_stay_pinned() {
-    // The sequential opt-out still carries the exact v2 stream the
-    // PR 3 engine shipped. Fixture version: stream v2.
-    let sequential = Simulation::new(4_096, 7)
-        .with_kernel_stream(KernelStream::Sequential)
-        .run(&rule(), 1.0);
-    assert_eq!(sequential.wins, 1_759);
-}
-
-#[test]
-fn v2_and_v3_streams_are_independent() {
-    // Documented non-identity: the two stream versions are different
-    // generators estimating the same quantity, so their win counts
-    // differ while their estimates agree statistically.
-    let lane = Simulation::new(200_000, 11).run(&rule(), 1.0);
-    let sequential = Simulation::new(200_000, 11)
-        .with_kernel_stream(KernelStream::Sequential)
-        .run(&rule(), 1.0);
-    assert_ne!(lane.wins, sequential.wins);
-    assert!(lane.agrees_with(sequential.estimate, 4.0), "{lane}");
+fn v5_opaque_rule_report_is_pinned() {
+    // An opaque rule (no kernel hint) on the lane loop: bin 0 on
+    // [0, 1/4] ∪ [3/4, 1] for each of three players. Any change to
+    // the generic kernel's draws or accumulation moves this count.
+    // Fixture version: stream v5.
+    let middle_out = BinZeroSet::new(vec![
+        (Rational::zero(), Rational::ratio(1, 4)),
+        (Rational::ratio(3, 4), Rational::one()),
+    ])
+    .unwrap();
+    let rule = GeneralRule::new(vec![middle_out; 3]).unwrap();
+    let report = Simulation::new(4_096, 7).run(&rule, 1.0);
+    assert_eq!(report.wins, 1_666);
+    // And the pinned count is a sound estimate of the exact 77/192.
+    let exact = rule
+        .winning_probability(&decision::Capacity::unit())
+        .unwrap();
+    assert_eq!(exact, Rational::ratio(77, 192));
+    assert!(report.agrees_with(exact.to_f64(), 4.0), "{report}");
 }
 
 #[test]

@@ -23,7 +23,7 @@ pub const ANALYSES: &[Lint] = &[
     },
     Lint {
         id: "hot-path-alloc",
-        summary: "forbid allocation in monomorphized kernel fns and the uniforms refill path",
+        summary: "forbid allocation in monomorphized kernel fns and the lane draw path",
         check: hot_path_alloc,
     },
 ];
@@ -64,9 +64,9 @@ fn seed_named(text: &str) -> bool {
 /// StdRng { StdRng::seed_from_u64(x) }`) breaks the audit trail from
 /// `SimulationParams::seed` to the stream and is exactly what this
 /// pass flags: the fix is to carry `seed` in the name across the call
-/// boundary, as [`batch_rng`'s] signature does.
+/// boundary, as [`lane_key`'s] signature does.
 ///
-/// [`batch_rng`'s]: https://example.invalid/ "crates/simulator/src/engine.rs"
+/// [`lane_key`'s]: https://example.invalid/ "crates/simulator/src/engine.rs"
 fn determinism_flow(file: &SourceFile) -> Vec<Violation> {
     if file.kind != FileKind::Lib {
         return Vec::new();
@@ -421,28 +421,21 @@ fn guard_binding(file: &SourceFile, code: &[usize], k: usize) -> Option<(String,
 const ALLOC_METHODS: &[&str] = &["collect", "clone", "to_vec", "to_owned"];
 
 /// `true` when `f` is one of the functions the batch throughput
-/// depends on: the monomorphized batch runners (sequential and
-/// lane-batched), the kernel decision methods, the uniform-source
-/// draw/refill path, and the stream-v3 counter pipeline (the Threefry
+/// depends on: the lane batch runner, the kernel methods it calls per
+/// trial (including a rule's own `decide`, which the opaque fallback
+/// calls per decision), and the counter pipeline (the Threefry
 /// ladder, its unit conversion, and the per-draw replay accessor).
-/// These execute per trial — or per lane group, or per 256 draws;
-/// one stray allocation there undoes the monomorphization win. The
-/// lane batch runner has no cold spot at all: it consumes each
-/// Threefry block in registers and allocates nothing per batch.
+/// These execute per trial or per lane group; one stray allocation
+/// there undoes the monomorphization win. The lane batch runner has
+/// no cold spot at all: it consumes each Threefry block in registers
+/// and allocates nothing per batch.
 fn is_hot_path(f: &FnView<'_>) -> bool {
-    f.item.name == "run_batch"
-        || f.item.name == "run_lane_batch"
-        || f.qualified.starts_with("BufferedUniforms::")
-        || f.qualified.starts_with("ScalarUniforms::")
+    f.item.name == "run_lane_batch"
         || matches!(
             f.item.name.as_str(),
             "threefry4x64_lanes" | "threefry4x64" | "word_to_unit" | "lane_draw"
         )
-        || (!f.is_free
-            && matches!(
-                f.item.name.as_str(),
-                "decide" | "players" | "next_unit" | "refill" | "sends_to_zero"
-            ))
+        || (!f.is_free && matches!(f.item.name.as_str(), "decide" | "players" | "sends_to_zero"))
 }
 
 /// Hot-path-alloc: forbid `Vec::new`, `vec!`, `Box::new`, `.collect()`,
@@ -515,7 +508,7 @@ mod tests {
     #[test]
     fn seed_param_traces_through_arithmetic() {
         let f = lib(
-            "fn batch_rng(seed: u64, batch: u64) -> StdRng {\n    StdRng::seed_from_u64(splitmix(seed ^ batch.wrapping_mul(0x9e37)))\n}\n",
+            "fn derive_rng(seed: u64, batch: u64) -> StdRng {\n    StdRng::seed_from_u64(splitmix(seed ^ batch.wrapping_mul(0x9e37)))\n}\n",
         );
         assert!(determinism_flow(&f).is_empty());
     }
@@ -633,19 +626,9 @@ mod tests {
     }
 
     #[test]
-    fn collect_in_run_batch_fires() {
+    fn clone_in_players_method_fires_and_cold_fn_is_exempt() {
         let f = lib(
-            "fn run_batch<K: Kernel>(kernel: &K) -> Vec<u64> {\n    (0..4).map(|i| i).collect()\n}\n",
-        );
-        let v = hot_path_alloc(&f);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].line, 2);
-    }
-
-    #[test]
-    fn clone_in_refill_method_fires_and_cold_fn_is_exempt() {
-        let f = lib(
-            "impl BufferedUniforms {\n    fn refill(&mut self) {\n        let b = self.buffer.clone();\n    }\n}\nfn setup() -> Vec<u64> {\n    vec![1, 2].to_vec()\n}\n",
+            "impl<R: LocalRule> Kernel for GenericKernel<'_, R> {\n    fn players(&self) -> usize {\n        let b = self.0.clone();\n        b.n()\n    }\n}\nfn setup() -> Vec<u64> {\n    vec![1, 2].to_vec()\n}\n",
         );
         let v = hot_path_alloc(&f);
         assert_eq!(v.len(), 1);
@@ -663,7 +646,7 @@ mod tests {
     #[test]
     fn collect_in_run_lane_batch_fires() {
         let f = lib(
-            "fn run_lane_batch<K: LaneKernel, const L: usize>(kernel: &K) -> u64 {\n    let lanes: Vec<u64> = (0..L).map(|i| i as u64).collect();\n    lanes.len() as u64\n}\n",
+            "fn run_lane_batch<K: Kernel, const L: usize>(kernel: &K) -> u64 {\n    let lanes: Vec<u64> = (0..L).map(|i| i as u64).collect();\n    lanes.len() as u64\n}\n",
         );
         let v = hot_path_alloc(&f);
         assert_eq!(v.len(), 1);
@@ -681,7 +664,7 @@ mod tests {
     #[test]
     fn sends_to_zero_method_is_hot() {
         let f = lib(
-            "impl LaneKernel for ThresholdKernel {\n    fn sends_to_zero(&self, player: usize, input: f64, _coin: f64) -> bool {\n        let t = self.thresholds.clone();\n        input < t[player]\n    }\n}\n",
+            "impl Kernel for ThresholdKernel {\n    fn sends_to_zero(&self, player: usize, input: f64, _coin: f64) -> bool {\n        let t = self.thresholds.clone();\n        input < t[player]\n    }\n}\n",
         );
         assert_eq!(hot_path_alloc(&f).len(), 1);
     }
@@ -689,7 +672,7 @@ mod tests {
     #[test]
     fn alloc_free_hot_path_is_clean() {
         let f = lib(
-            "impl BufferedUniforms {\n    fn next_unit(&mut self) -> f64 {\n        let sample = self.buffer[self.next];\n        self.next += 1;\n        sample\n    }\n}\n",
+            "impl Kernel for ObliviousKernel {\n    fn sends_to_zero(&self, player: usize, _input: f64, coin: f64) -> bool {\n        coin < self.alpha[player]\n    }\n}\n",
         );
         assert!(hot_path_alloc(&f).is_empty());
     }

@@ -4,8 +4,8 @@
 //!
 //! The artifact is the committed proof that the engine's fault
 //! tolerance actually engaged and actually recovered: a run under a
-//! seeded `ChaosPlan` (worker panics, stragglers, poisoned RNG
-//! refills, worker-thread deaths) must report **bit-equal** totals to
+//! seeded `ChaosPlan` (worker panics, stragglers, poisoned batch
+//! draws, worker-thread deaths) must report **bit-equal** totals to
 //! the fault-free run at the same parameters, and the recovery
 //! counters must show the faults fired rather than the plan being a
 //! no-op. CI regenerates the artifact and runs this check, so a
@@ -202,7 +202,7 @@ mod tests {
         let path = crate::repo_root().join("results/chaos_smoke.json");
         if let Ok(text) = std::fs::read_to_string(path) {
             let summary = validate_chaos_document(&text).expect("committed artifact");
-            assert_eq!(summary.rng_stream_version, 4);
+            assert_eq!(summary.rng_stream_version, 5);
             assert!(summary.recovered_batches > 0);
         }
     }

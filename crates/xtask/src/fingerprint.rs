@@ -31,11 +31,12 @@ pub const SUMMARY: &str =
 const VERSION_FILE: &str = "crates/simulator/src/engine.rs";
 
 /// `(path, qualified fn)` pairs whose token streams determine the RNG
-/// stream: the generator cores (sequential xoshiro and the stream-v3
-/// Threefry counter pipeline), the per-batch seeding and keying, the
-/// draw loops (the lane loop computes its counter blocks itself), and
-/// every uniform source. Growing this list is cheap;
-/// every entry is one more function that cannot drift silently.
+/// stream: the generator cores (the sequential xoshiro generator the
+/// seeded samplers outside the engine draw from, and the Threefry
+/// counter pipeline), the seed derivation and keying, the lane loop
+/// (which computes its counter blocks itself), and the scalar draw
+/// replay. Growing this list is cheap; every entry is one more
+/// function that cannot drift silently.
 pub const CRITICAL_FNS: &[(&str, &str)] = &[
     ("crates/rand/src/lib.rs", "splitmix64"),
     ("crates/rand/src/lib.rs", "StdRng::seed_from_u64"),
@@ -49,19 +50,8 @@ pub const CRITICAL_FNS: &[(&str, &str)] = &[
     ("crates/rand/src/lib.rs", "threefry4x64"),
     ("crates/rand/src/lib.rs", "word_to_unit"),
     ("crates/simulator/src/engine.rs", "splitmix"),
-    ("crates/simulator/src/engine.rs", "batch_rng"),
-    ("crates/simulator/src/engine.rs", "run_batch"),
     ("crates/simulator/src/engine.rs", "lane_key"),
     ("crates/simulator/src/engine.rs", "run_lane_batch"),
-    (
-        "crates/simulator/src/kernel.rs",
-        "ScalarUniforms::next_unit",
-    ),
-    ("crates/simulator/src/kernel.rs", "BufferedUniforms::refill"),
-    (
-        "crates/simulator/src/kernel.rs",
-        "BufferedUniforms::next_unit",
-    ),
     ("crates/simulator/src/kernel.rs", "lane_draw"),
 ];
 

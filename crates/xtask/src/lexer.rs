@@ -1,12 +1,10 @@
 //! A dependency-free Rust lexer: the token-level foundation of the
 //! `cargo xtask analyze` passes.
 //!
-//! The lexer replaces the line-oriented scrubbed-text scanner (kept in
-//! [`crate::scrub`] as a differential-testing oracle) with a proper
-//! token stream. Every token records its byte range and 1-based line
-//! in the *original* source, so passes report exact locations and the
-//! stream round-trips: concatenating token texts with the whitespace
-//! between them reproduces the input byte for byte (property-tested).
+//! Every token records its byte range and 1-based line in the
+//! *original* source, so passes report exact locations and the stream
+//! round-trips: concatenating token texts with the whitespace between
+//! them reproduces the input byte for byte (property-tested).
 //!
 //! Comments — including doc comments — are tokens too, so passes that
 //! need prose (inline `xtask:allow` waivers, `# Panics` sections) read

@@ -40,7 +40,6 @@ pub mod fingerprint;
 pub mod lexer;
 pub mod lints;
 pub mod metrics;
-pub mod scrub;
 pub mod shard;
 pub mod source;
 pub mod table;

@@ -24,10 +24,7 @@ pub const REQUIRED_COUNTERS: &[&str] = &[
     "engine.dispatch.threshold",
     "engine.dispatch.oblivious",
     "engine.dispatch.opaque",
-    "engine.dispatch.dyn",
-    "engine.dispatch.lane",
     "rng.draws",
-    "rng.refills",
     "rng.lane_blocks",
     "pool.jobs",
     "pool.batches",
@@ -193,7 +190,7 @@ mod tests {
                 samples: 3,
             }
         );
-        assert!(summary.to_string().contains("31 counters"));
+        assert!(summary.to_string().contains("28 counters"));
     }
 
     #[test]
@@ -247,7 +244,7 @@ mod tests {
         let path = crate::repo_root().join("results/engine_metrics.json");
         if let Ok(text) = std::fs::read_to_string(path) {
             let summary = validate_metrics_document(&text).expect("committed artifact");
-            assert_eq!(summary.rng_stream_version, 4);
+            assert_eq!(summary.rng_stream_version, 5);
         }
     }
 }

@@ -91,10 +91,10 @@ fn hot_path_alloc_fires_inside_hot_fns_only() {
         FileKind::Lib,
     );
     let v = check_file(&f);
-    // collect in run_batch; clone + vec! in refill; Vec::new in
-    // decide. Cold construction, cold helpers, the clean next_unit,
-    // and the waived probe stay silent.
-    assert_eq!(lines(&v, "hot-path-alloc"), vec![6, 12, 13, 28], "{v:?}");
+    // collect in run_lane_batch; clone + vec! in lane_draw; Vec::new
+    // in sends_to_zero. Cold construction, cold helpers, the clean
+    // sends_to_zero, and the waived probe stay silent.
+    assert_eq!(lines(&v, "hot-path-alloc"), vec![6, 11, 12, 19], "{v:?}");
 }
 
 #[test]
@@ -111,11 +111,11 @@ fn analyses_do_not_fire_on_test_files() {
     }
 }
 
-/// The fixture gate's critical set: the two `BufferedUniforms`
+/// The fixture gate's critical set: the two `ChunkedDraws`
 /// methods of the miniature kernel.
 const CRITICAL: &[(&str, &str)] = &[
-    ("crates/demo/src/kernel.rs", "BufferedUniforms::refill"),
-    ("crates/demo/src/kernel.rs", "BufferedUniforms::next_unit"),
+    ("crates/demo/src/kernel.rs", "ChunkedDraws::refill"),
+    ("crates/demo/src/kernel.rs", "ChunkedDraws::next_unit"),
 ];
 
 fn engine_stub(version: u64) -> SourceFile {

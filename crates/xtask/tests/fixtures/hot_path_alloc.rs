@@ -1,33 +1,24 @@
 //! Fixture for the hot-path-alloc analysis: allocation in the
-//! monomorphized kernel/refill path.
+//! monomorphized lane loop, its draw replay, and kernel decisions.
 
-/// BAD: collect inside the batch runner.
-fn run_batch<K: Kernel>(kernel: &K, count: u64) -> Vec<u64> {
+/// BAD: collect inside the lane batch runner.
+fn run_lane_batch<K: Kernel, const L: usize>(kernel: &K, count: u64) -> Vec<u64> {
     (0..count).map(|i| kernel.score(i)).collect()
 }
 
-impl BufferedUniforms {
-    /// BAD: clone and a vec! literal in the refill path.
-    fn refill(&mut self) {
-        let staged = self.buffer.clone();
-        let scratch = vec![0.0f64; 4];
-        let _ = (staged, scratch);
-    }
-
-    /// GOOD: the straight buffer walk allocates nothing.
-    fn next_unit(&mut self) -> f64 {
-        let sample = self.buffer[self.next];
-        self.next += 1;
-        sample
-    }
+/// BAD: clone and a vec! literal in the per-draw replay.
+fn lane_draw(key: &CounterKey, trial: u64) -> f64 {
+    let staged = key.clone();
+    let scratch = vec![0u64; 4];
+    word_to_unit(staged.mix(trial) ^ scratch[0])
 }
 
 impl ThresholdKernel {
     /// BAD: Vec::new inside a decision method.
-    fn decide(&self, player: usize, input: f64) -> Bin {
+    fn sends_to_zero(&self, player: usize, input: f64, _coin: f64) -> bool {
         let mut trace: Vec<f64> = Vec::new();
         trace.push(input);
-        Bin::Zero
+        input <= self.thresholds[player]
     }
 
     /// GOOD: construction happens once per run, off the hot path.
@@ -42,12 +33,19 @@ fn summarize(totals: &[u64]) -> Vec<u64> {
     totals.to_vec()
 }
 
-impl ScalarUniforms {
+impl ObliviousKernel {
+    /// GOOD: the straight compare allocates nothing.
+    fn sends_to_zero(&self, player: usize, _input: f64, coin: f64) -> bool {
+        coin < self.alpha[player]
+    }
+}
+
+impl GenericKernel {
     /// Waived: a justified exception inside the hot path stays silent.
-    fn next_unit(&mut self) -> f64 {
+    fn players(&self) -> usize {
         // xtask:allow(hot-path-alloc): fixture waiver — audit probe clones a 2-element array
         let probe = self.audit.clone();
         let _ = probe;
-        self.rng.gen_range(0.0..1.0)
+        self.rule.n()
     }
 }

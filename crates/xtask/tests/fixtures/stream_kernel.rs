@@ -4,7 +4,7 @@
 
 const CHUNK: usize = 256;
 
-impl BufferedUniforms {
+impl ChunkedDraws {
     fn refill(&mut self) {
         for slot in &mut self.buffer {
             *slot = unit_f64(&mut self.rng);

@@ -4,7 +4,7 @@
 
 const CHUNK: usize = 256;
 
-impl BufferedUniforms {
+impl ChunkedDraws {
     // A rewritten comment: invisible to the token hash.
     fn refill(&mut self) {
         for slot in &mut self.buffer {

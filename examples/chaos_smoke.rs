@@ -1,5 +1,5 @@
 //! Fault tolerance end to end: run the engine under a seeded
-//! [`ChaosPlan`] — worker panics, poisoned RNG refills, stragglers,
+//! [`ChaosPlan`] — worker panics, poisoned batch draws, stragglers,
 //! and an injected worker-thread death — and prove the recovered run
 //! is **bit-equal** to the fault-free run at the same parameters.
 //!

@@ -1,6 +1,6 @@
 //! Engine observability end to end: attach an `EngineMetrics` sink,
-//! run a mixed workload (parallel estimation, crash faults, the dyn
-//! baseline, an instrumented sweep), and export the audited counters
+//! run a mixed workload (parallel estimation, crash faults, an
+//! instrumented sweep), and export the audited counters
 //! as an `engine-metrics/v1` JSON document.
 //!
 //! The headline property: metrics are *observational*. Every estimate
@@ -40,7 +40,6 @@ fn main() {
         "  with crash faults  : {}",
         sim.run_with_crashes(&threshold, 1.0, 0.25)
     );
-    println!("  dyn baseline       : {}", sim.run_dyn(&oblivious, 1.0));
 
     let sweep = sweep_threshold_with_metrics(3, 1.0, 16, 20_000, 7, metrics.clone())
         .expect("valid sweep parameters");
@@ -66,12 +65,11 @@ fn main() {
     }
 
     // The conservation law the metrics must obey, checked live: the
-    // four engine runs plus the 17 sweep runs each consume an exactly
+    // three engine runs plus the 17 sweep runs each consume an exactly
     // predictable number of uniforms.
     let expected_draws = trials * 3 * 2   // threshold, crash-free
         + trials * 4 * 2                  // oblivious, crash-free
         + trials * 3 * 3                  // threshold with fault coins
-        + trials * 4 * 2                  // dyn baseline
         + 17 * 20_000 * 3 * 2; // sweep grid points
     assert_eq!(snap.rng_draws, expected_draws, "draw conservation");
     println!("\ndraw conservation holds: {expected_draws} uniforms accounted for ✓");
