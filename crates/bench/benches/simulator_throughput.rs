@@ -28,10 +28,17 @@
 //! `results/BENCH_simulator_throughput.json` and asserts the floors
 //! it records: lane ≥ 4x the baseline at n = 8, and metrics within
 //! 2% of the uninstrumented lane path.
+//!
+//! Every mode also prints an ungated **Threefry ceiling**: the time of
+//! one `threefry4x64_lanes::<16>` call with all 64 output words folded
+//! into the result (so no unused lane can be optimized away), and each
+//! `lane` row's Threefry share — calls per trial × ceiling ÷ ns/trial.
+//! It adds no JSON row, so `bench-check` is unaffected.
 
 use bench::{write_bench_json, PairedTiming};
 use criterion::black_box;
 use decision::{Bin, LocalRule, ObliviousAlgorithm, SingleThresholdAlgorithm};
+use rand::counter::{threefry4x64_lanes, CounterKey};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rational::Rational;
@@ -45,6 +52,9 @@ const SIZES: [usize; 3] = [3, 5, 8];
 
 /// Trials per batch of the baseline, equal to the engine's default.
 const BATCH_SIZE: u64 = 16_384;
+
+/// Trials the engine's lane kernel advances per Threefry call.
+const LANES: usize = 16;
 
 /// Hides a rule's kernel hint, forcing the engine onto the generic
 /// per-decision path.
@@ -179,6 +189,35 @@ fn paired_min_ns(
     (base_min, opt_min)
 }
 
+/// The Threefry-only ceiling: the minimum over `samples` of the mean
+/// ns per `threefry4x64_lanes::<16>` call across `calls` calls on
+/// advancing counters, every output word folded into one value.
+fn threefry_ceiling_ns(calls: u64, samples: usize) -> f64 {
+    let key = CounterKey::from_seed(42);
+    let mut best = f64::INFINITY;
+    for _ in 0..samples {
+        let start = Instant::now();
+        // Lanewise folds, as the kernel consumes words: a single
+        // serial xor chain would add 64 dependent steps per call.
+        let mut fold = [0u64; LANES];
+        let mut ctr = [[0u64; LANES]; 4];
+        for call in 0..calls {
+            for (j, trial) in ctr[1].iter_mut().enumerate() {
+                *trial = call * LANES as u64 + j as u64;
+            }
+            let out = threefry4x64_lanes::<LANES>(&key, black_box(&ctr));
+            for words in &out {
+                for (acc, word) in fold.iter_mut().zip(words) {
+                    *acc ^= word;
+                }
+            }
+        }
+        black_box(fold);
+        best = best.min(start.elapsed().as_nanos() as f64 / calls as f64);
+    }
+    best
+}
+
 fn trials_per_sec(trials: u64, ns: f64) -> f64 {
     trials as f64 / ns * 1e9
 }
@@ -228,6 +267,10 @@ fn main() {
 
     let mut timings = Vec::new();
     let mut metrics_ratios: Vec<(usize, f64)> = Vec::new();
+    // `(label, Threefry calls per trial, lane ns)` per lane row: one
+    // call per four players per plane per 16 trials; thresholds read
+    // the input plane only, oblivious rules the coin plane as well.
+    let mut lane_rows: Vec<(String, f64, f64)> = Vec::new();
     for n in SIZES {
         let threshold = SingleThresholdAlgorithm::symmetric(n, Rational::ratio(622, 1000))
             .expect("valid symmetric thresholds");
@@ -269,6 +312,11 @@ fn main() {
             cold_ns: dyn_ns,
             memoized_ns: lane_ns,
         });
+        lane_rows.push((
+            format!("threshold n = {n} · lane"),
+            n.div_ceil(4) as f64 / LANES as f64,
+            lane_ns,
+        ));
         // The instrumented lane path: same engine, a live
         // EngineMetrics sink attached. Flushes are per batch, so this
         // must stay within noise of the uninstrumented path.
@@ -305,11 +353,27 @@ fn main() {
             cold_ns: dyn_ns,
             memoized_ns: lane_ns,
         });
+        lane_rows.push((
+            format!("oblivious n = {n} · lane"),
+            2.0 * n.div_ceil(4) as f64 / LANES as f64,
+            lane_ns,
+        ));
         println!(
             "oblivious n = {n}: dyn {:>12.0}/s   lane {:>12.0}/s ({:.2}x)",
             trials_per_sec(trials, dyn_ns),
             trials_per_sec(trials, lane_ns),
             dyn_ns / lane_ns,
+        );
+    }
+
+    let ceiling = threefry_ceiling_ns(trials / 4, samples);
+    println!("threefry ceiling: {ceiling:.1} ns per {LANES}-lane call, all 64 words folded");
+    for (label, calls_per_trial, lane_ns) in &lane_rows {
+        let per_trial = lane_ns / trials as f64;
+        let threefry = calls_per_trial * ceiling;
+        println!(
+            "  {label}: threefry {threefry:.2} of {per_trial:.2} ns/trial ({:.0}%)",
+            100.0 * threefry / per_trial
         );
     }
 

@@ -23,7 +23,8 @@ pub enum ModelError {
     /// The capacity `δ` must be strictly positive.
     NonPositiveCapacity,
     /// Exhaustive enumeration over `2^n` decision vectors was asked
-    /// for an `n` too large to finish.
+    /// for an `n` too large to finish, or a float evaluation
+    /// overflowed at an `n` beyond the largest it stays finite for.
     TooManyPlayersForExact {
         /// The offending player count.
         n: usize,
@@ -48,7 +49,7 @@ impl fmt::Display for ModelError {
             ModelError::TooManyPlayersForExact { n, max } => {
                 write!(
                     f,
-                    "exact enumeration supports at most {max} players, got {n}"
+                    "exact evaluation supports at most {max} players, got {n}"
                 )
             }
         }

@@ -84,6 +84,7 @@ pub use winning::{
     winning_probability_oblivious, winning_probability_oblivious_f64,
     winning_probability_oblivious_in, winning_probability_threshold,
     winning_probability_threshold_f64, winning_probability_threshold_in,
+    MAX_EXACT_THRESHOLD_PLAYERS,
 };
 
 pub use rational::Scalar;

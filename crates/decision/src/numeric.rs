@@ -13,7 +13,10 @@
 //! per-`(n, δ)` Irwin–Hall table is computed on the first evaluation
 //! and served from cache for the rest of the run.
 
-use crate::{winning_probability_oblivious_in, winning_probability_threshold_in, ModelError};
+use crate::{
+    winning_probability_oblivious_in, winning_probability_threshold_in, ModelError,
+    MAX_EXACT_THRESHOLD_PLAYERS,
+};
 use uniform_sums::EvalContext;
 
 /// Result of a numeric maximization over `[0,1]^n`.
@@ -80,7 +83,9 @@ impl Default for SearchOptions {
 ///
 /// # Errors
 ///
-/// Returns [`ModelError`] if `n < 2` or `n > 22`.
+/// Returns [`ModelError`] if `n < 2` or `n >`
+/// [`MAX_EXACT_THRESHOLD_PLAYERS`]: the search evaluates asymmetric
+/// vectors, whose enumeration is capped there.
 ///
 /// # Examples
 ///
@@ -97,6 +102,12 @@ pub fn maximize_threshold(
     delta: f64,
     options: &SearchOptions,
 ) -> Result<NumericOptimum, ModelError> {
+    if n > MAX_EXACT_THRESHOLD_PLAYERS {
+        return Err(ModelError::TooManyPlayersForExact {
+            n,
+            max: MAX_EXACT_THRESHOLD_PLAYERS,
+        });
+    }
     let mut ctx = EvalContext::new();
     maximize(n, options, &mut |params| {
         // xtask:allow(no-panic): n is range-checked before any objective call
@@ -372,6 +383,12 @@ mod tests {
     fn rejects_invalid_sizes() {
         assert!(maximize_threshold(1, 1.0, &quick()).is_err());
         assert!(maximize_oblivious(23, 1.0, &quick()).is_err());
+        // The threshold search evaluates asymmetric vectors, so it
+        // stops at their enumeration cap, before any evaluation.
+        assert!(matches!(
+            maximize_threshold(15, 5.0, &quick()),
+            Err(ModelError::TooManyPlayersForExact { n: 15, max: 14 })
+        ));
     }
 
     #[test]

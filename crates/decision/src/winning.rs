@@ -17,6 +17,27 @@ use uniform_sums::{box_sum_cdf_in, irwin_hall_cdf_in, shifted_box_sum_cdf_in, Ev
 /// vectors is attempted.
 pub(crate) const MAX_EXACT_PLAYERS: usize = 22;
 
+/// Largest player count for which the asymmetric single-threshold
+/// enumeration is attempted. Each of its `2^n` terms evaluates two
+/// box-sum CDFs with inclusion–exclusion over their own subsets, so
+/// the cost grows about 3x per player: a cold `f64` evaluation takes
+/// ~40 ms at n = 14, ~0.4 s at 16 and ~3.3 s at 18 on a 2-vCPU VM.
+/// Capping at 14 keeps every served asymmetric `pwin` in the tens of
+/// milliseconds.
+pub const MAX_EXACT_THRESHOLD_PLAYERS: usize = 14;
+
+/// The symmetric closed forms evaluate Irwin–Hall CDFs of every order
+/// up to `n`; past the instantiation's
+/// [`Scalar::MAX_IRWIN_HALL_ORDER`] (158 in `f64`) they would overflow
+/// into an infinity or NaN, so such an `n` is refused up front.
+fn check_irwin_hall_order<S: Scalar>(n: usize) -> Result<(), ModelError> {
+    let max = usize::try_from(S::MAX_IRWIN_HALL_ORDER).unwrap_or(usize::MAX);
+    if n > max {
+        return Err(ModelError::TooManyPlayersForExact { n, max });
+    }
+    Ok(())
+}
+
 /// Winning probability of an oblivious algorithm (Theorem 4.1), in
 /// any [`Scalar`] instantiation:
 ///
@@ -35,7 +56,8 @@ pub(crate) const MAX_EXACT_PLAYERS: usize = 22;
 ///
 /// Returns [`ModelError::TooFewPlayers`] for fewer than 2 players and
 /// [`ModelError::TooManyPlayersForExact`] if an asymmetric vector has
-/// more than 22 players.
+/// more than 22 players or a symmetric one more than the
+/// instantiation's [`Scalar::MAX_IRWIN_HALL_ORDER`] (158 in `f64`).
 pub fn winning_probability_oblivious_in<S: Scalar>(
     ctx: &mut EvalContext<S>,
     alpha: &[S],
@@ -52,6 +74,7 @@ pub fn winning_probability_oblivious_in<S: Scalar>(
             max: MAX_EXACT_PLAYERS,
         });
     }
+    check_irwin_hall_order::<S>(n)?;
     // Irwin-Hall CDF per possible bin size, served by the context.
     let ih = ctx.irwin_hall_cdf_table(n as u32, delta);
 
@@ -156,7 +179,9 @@ pub fn winning_probability_oblivious_f64(alpha: &[f64], delta: f64) -> Result<f6
 ///
 /// Returns [`ModelError::TooFewPlayers`] for fewer than 2 players and
 /// [`ModelError::TooManyPlayersForExact`] if an asymmetric vector has
-/// more than 22 players.
+/// more than [`MAX_EXACT_THRESHOLD_PLAYERS`] players or a symmetric
+/// one more than the instantiation's [`Scalar::MAX_IRWIN_HALL_ORDER`]
+/// (158 in `f64`).
 pub fn winning_probability_threshold_in<S: Scalar>(
     ctx: &mut EvalContext<S>,
     thresholds: &[S],
@@ -175,7 +200,8 @@ pub fn winning_probability_threshold_in<S: Scalar>(
         // inclusion–exclusion subsets by size is exact — identical
         // values in every instantiation — and turns the subset
         // enumeration into O(n) work per bin size, so symmetric
-        // systems scale far past the 22-player asymmetric cap.
+        // systems scale far past the asymmetric cap.
+        check_irwin_hall_order::<S>(n)?;
         let beta = &thresholds[0];
         let one_minus = S::one() - beta.clone();
         let mut total = S::zero();
@@ -216,10 +242,10 @@ pub fn winning_probability_threshold_in<S: Scalar>(
         S::ensure_probability(&total);
         return Ok(total);
     }
-    if n > MAX_EXACT_PLAYERS {
+    if n > MAX_EXACT_THRESHOLD_PLAYERS {
         return Err(ModelError::TooManyPlayersForExact {
             n,
-            max: MAX_EXACT_PLAYERS,
+            max: MAX_EXACT_THRESHOLD_PLAYERS,
         });
     }
     let mut total = S::zero();
@@ -248,7 +274,7 @@ pub fn winning_probability_threshold_in<S: Scalar>(
 /// # Errors
 ///
 /// Returns [`ModelError::TooManyPlayersForExact`] if an asymmetric
-/// algorithm has more than 22 players.
+/// algorithm has more than [`MAX_EXACT_THRESHOLD_PLAYERS`] players.
 ///
 /// # Examples
 ///
@@ -314,9 +340,10 @@ fn joint_term_in<S: Scalar>(bin0: &[S], bin1: &[S], delta: &S) -> S {
 ///
 /// # Errors
 ///
-/// Returns [`ModelError`] on fewer than 2 players, or on an
-/// asymmetric vector of more than 22 players (the symmetric
-/// collapsed form has no such cap).
+/// Returns [`ModelError`] on fewer than 2 players, on an asymmetric
+/// vector of more than [`MAX_EXACT_THRESHOLD_PLAYERS`] players, or on
+/// a symmetric one of more than 158, where the closed form overflows
+/// `f64` ([`Scalar::MAX_IRWIN_HALL_ORDER`]).
 // xtask:allow(no-twin-f64): instantiation wrapper over the generic core
 pub fn winning_probability_threshold_f64(
     thresholds: &[f64],
@@ -514,5 +541,50 @@ mod tests {
             winning_probability_oblivious_in(&mut ctx, &[0.5], &1.0),
             Err(ModelError::TooFewPlayers { n: 1 })
         ));
+    }
+
+    #[test]
+    fn asymmetric_thresholds_stop_at_their_enumeration_cap() {
+        let spread = |n: usize| -> Vec<f64> { (0..n).map(|i| 0.5 + 0.01 * i as f64).collect() };
+        let mut ctx = EvalContext::<f64>::new();
+        let at_cap = spread(MAX_EXACT_THRESHOLD_PLAYERS);
+        assert!(winning_probability_threshold_in(&mut ctx, &at_cap, &4.0).is_ok());
+        for n in [MAX_EXACT_THRESHOLD_PLAYERS + 1, 24] {
+            assert!(matches!(
+                winning_probability_threshold_in(&mut ctx, &spread(n), &4.0),
+                Err(ModelError::TooManyPlayersForExact { max: 14, .. })
+            ));
+        }
+        // The symmetric collapsed form has no enumeration cap.
+        assert!(winning_probability_threshold_in(&mut ctx, &[0.6; 40], &13.0).is_ok());
+    }
+
+    #[test]
+    fn symmetric_float_evaluations_past_the_irwin_hall_limit_are_errors() {
+        // n = 200, β = 0.6, δ = n/3 used to come back as Ok(NaN): the
+        // Irwin–Hall power terms pass f64::MAX.
+        let mut ctx = EvalContext::<f64>::new();
+        let overflow = |n| Err(ModelError::TooManyPlayersForExact { n, max: 158 });
+        assert_eq!(
+            winning_probability_threshold_in(&mut ctx, &[0.6; 200], &(200.0 / 3.0)),
+            overflow(200)
+        );
+        assert_eq!(
+            winning_probability_oblivious_in(&mut ctx, &[0.5; 200], &97.0),
+            overflow(200)
+        );
+        // The limit is exact: 158 players evaluate, 159 do not.
+        assert!(winning_probability_threshold_in(&mut ctx, &[0.6; 158], &1.0).is_ok());
+        assert_eq!(
+            winning_probability_threshold_in(&mut ctx, &[0.6; 159], &1.0),
+            overflow(159)
+        );
+        // The exact instantiation has no float limit.
+        let exact = winning_probability_threshold_in(
+            &mut EvalContext::<Rational>::new(),
+            &vec![Rational::ratio(3, 5); 170],
+            &Rational::integer(2),
+        );
+        assert!(exact.is_ok());
     }
 }

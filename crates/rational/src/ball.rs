@@ -439,6 +439,8 @@ impl PartialOrd for Ball {
 }
 
 impl Scalar for Ball {
+    const MAX_IRWIN_HALL_ORDER: u32 = <f64 as Scalar>::MAX_IRWIN_HALL_ORDER;
+
     fn zero() -> Ball {
         Ball { lo: 0.0, hi: 0.0 }
     }

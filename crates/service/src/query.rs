@@ -15,6 +15,7 @@
 //! well-formed error instead of a protocol failure, so future
 //! families extend the schema without breaking deployed clients.
 
+use crate::server::MAX_PLAYERS;
 use crate::wire::{self, Json};
 use decision::{LocalRule, ModelError, ObliviousAlgorithm, SingleThresholdAlgorithm};
 use simulator::SimulationReport;
@@ -337,6 +338,17 @@ impl Envelope {
             }
         };
         let rule = |what: &str| RuleSpec::from_json(wire::field(fields, "rule", what)?);
+        // Monte-Carlo work grows with the player count: refuse
+        // oversized systems before they reach the engine.
+        let simulable = |n: usize, what: &str| -> Result<usize, String> {
+            if n > MAX_PLAYERS {
+                Err(format!(
+                    "{what} has {n} players; Monte-Carlo queries take at most {MAX_PLAYERS}"
+                ))
+            } else {
+                Ok(n)
+            }
+        };
         let request = match kind {
             "pwin" => Request::PWin {
                 delta: delta("pwin request")?,
@@ -358,8 +370,11 @@ impl Envelope {
                     .map_err(|_| "grid out of range".to_owned())?,
             },
             "sweep_mc" => Request::SweepMc {
-                n: usize::try_from(wire::field(fields, "n", "sweep_mc request")?.u64("n")?)
-                    .map_err(|_| "n out of range".to_owned())?,
+                n: simulable(
+                    usize::try_from(wire::field(fields, "n", "sweep_mc request")?.u64("n")?)
+                        .map_err(|_| "n out of range".to_owned())?,
+                    "sweep_mc request",
+                )?,
                 delta: delta("sweep_mc request")?,
                 grid: usize::try_from(
                     wire::field(fields, "grid", "sweep_mc request")?.u64("grid")?,
@@ -373,12 +388,19 @@ impl Envelope {
                 n: u32::try_from(wire::field(fields, "n", "threshold request")?.u64("n")?)
                     .map_err(|_| "n out of range".to_owned())?,
             },
-            "simulate" => Request::Simulate {
-                delta: delta("simulate request")?,
-                trials: wire::field(fields, "trials", "simulate request")?.u64("trials")?,
-                seed: wire::field(fields, "seed", "simulate request")?.u64("seed")?,
-                rule: rule("simulate request")?,
-            },
+            "simulate" => {
+                let delta = delta("simulate request")?;
+                let trials = wire::field(fields, "trials", "simulate request")?.u64("trials")?;
+                let seed = wire::field(fields, "seed", "simulate request")?.u64("seed")?;
+                let rule = rule("simulate request")?;
+                simulable(rule.n(), "simulate rule")?;
+                Request::Simulate {
+                    delta,
+                    trials,
+                    seed,
+                    rule,
+                }
+            }
             "shutdown" => Request::Shutdown,
             other => {
                 return Err(format!(
@@ -578,6 +600,30 @@ impl Outcome {
                 Some(SimulationReport::from_counts(*wins, *trials))
             }
             _ => None,
+        }
+    }
+
+    /// Whether every number the outcome carries is finite — the wire
+    /// format (JSON) has no spelling for an infinity or NaN.
+    #[must_use]
+    pub fn is_finite(&self) -> bool {
+        match self {
+            Outcome::PWin { value, .. } => value.is_finite(),
+            Outcome::Optimal { params, value, .. } => {
+                value.is_finite() && params.iter().all(|p| p.is_finite())
+            }
+            Outcome::Sweep { points, .. } => {
+                points.iter().all(|(x, p)| x.is_finite() && p.is_finite())
+            }
+            Outcome::Threshold {
+                beta_lo,
+                beta_hi,
+                p_lo,
+                p_hi,
+                ..
+            } => [beta_lo, beta_hi, p_lo, p_hi].iter().all(|v| v.is_finite()),
+            Outcome::SweepMc { points, .. } => points.iter().all(|(x, _)| x.is_finite()),
+            Outcome::Shards { .. } | Outcome::Simulate { .. } | Outcome::ShuttingDown => true,
         }
     }
 
@@ -1062,6 +1108,30 @@ mod tests {
         assert!(Envelope::parse(line).unwrap_err().contains("positive"));
         let line = r#"{"id": 1, "kind": "sweep", "n": 3, "delta": 1e999, "grid": 8}"#;
         assert!(Envelope::parse(line).unwrap_err().contains("finite"));
+    }
+
+    #[test]
+    fn non_finite_numbers_anywhere_in_an_outcome_are_caught() {
+        let cache = CacheStatus::Miss;
+        assert!(Outcome::PWin { value: 0.5, cache }.is_finite());
+        assert!(!Outcome::PWin {
+            value: f64::NAN,
+            cache
+        }
+        .is_finite());
+        assert!(!Outcome::Sweep {
+            points: vec![(0.0, 0.25), (1.0, f64::INFINITY)],
+            cache
+        }
+        .is_finite());
+        assert!(!Outcome::Optimal {
+            params: vec![0.5, f64::NAN],
+            value: 0.5,
+            evaluations: 1,
+            cache
+        }
+        .is_finite());
+        assert!(Outcome::Simulate { wins: 1, trials: 2 }.is_finite());
     }
 
     #[test]

@@ -133,7 +133,16 @@ impl Shared {
     fn answer(&self, envelope: &Envelope) -> Response {
         let guard = self.metrics.begin_request();
         let started = Instant::now();
-        let outcome = self.outcome(&envelope.request);
+        let outcome = self.outcome(&envelope.request).and_then(|outcome| {
+            if outcome.is_finite() {
+                Ok(outcome)
+            } else {
+                Err(format!(
+                    "the {} answer is not a finite number",
+                    envelope.request.kind()
+                ))
+            }
+        });
         let response = Response {
             id: envelope.id,
             outcome,
@@ -493,6 +502,14 @@ pub const MAX_CONNECTIONS: usize = 256;
 /// newline cannot grow the daemon's memory without bound: it gets an
 /// error response and is disconnected.
 pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+
+/// The most players a `simulate` rule or a `sweep_mc` system may
+/// have: the largest row of the certified threshold table. Engine time
+/// grows with `trials × players`; `max_trials` bounds one factor and
+/// this the other, so a request line at [`MAX_REQUEST_BYTES`] (room
+/// for ~250k parameters) cannot buy hours of Monte-Carlo. Requests
+/// over it fail to parse.
+pub const MAX_PLAYERS: usize = 128;
 
 /// Serves one connection: one JSON request per line, one JSON
 /// response per line, until EOF, a transport error, an oversized

@@ -56,7 +56,7 @@ use crate::kernel::{
     LANE_STREAM_DOMAIN,
 };
 use crate::metrics::keys;
-use crate::pool::{Job, PoolConfig, WorkerPool};
+use crate::pool::{Admission, ComputeBudget, Job, PoolConfig, WorkerPool};
 use crate::{SimulationError, SimulationReport};
 use decision::{KernelHint, LocalRule};
 use obs::{Deadline, MetricsSink, NoopSink};
@@ -105,6 +105,13 @@ const LANES: usize = 16;
 /// of this engine (and of [`Simulation::reseeded`] copies — a sweep
 /// pays thread start-up once, not once per grid point).
 ///
+/// The engine and every clone sharing its pool share one compute
+/// budget of `threads` batch-executing threads. A run's calling
+/// thread always executes batches; the run adds pool helpers only
+/// for budget idle when it starts, so concurrent runs (a server's
+/// requests) share the cores instead of oversubscribing them, and a
+/// run that starts while the budget is busy executes inline.
+///
 /// # Examples
 ///
 /// ```
@@ -125,6 +132,9 @@ pub struct Simulation {
     /// Lazily-spawned persistent workers, shared by clones (so
     /// [`Simulation::reseeded`] engines reuse the same threads).
     pool: Arc<OnceLock<WorkerPool>>,
+    /// The batch-executing threads of every run sharing `pool`,
+    /// against `threads`; reset together with `pool`.
+    budget: Arc<ComputeBudget>,
     /// Where run/pool/RNG counters are flushed (per batch of work,
     /// never per trial); a no-op by default.
     sink: Arc<dyn MetricsSink>,
@@ -378,6 +388,7 @@ impl Simulation {
             threads,
             batch_size: DEFAULT_BATCH_SIZE,
             pool: Arc::new(OnceLock::new()),
+            budget: Arc::new(ComputeBudget::default()),
             sink: Arc::new(NoopSink),
             chaos: None,
             batch_deadline: DEFAULT_BATCH_DEADLINE,
@@ -388,11 +399,11 @@ impl Simulation {
     ///
     /// Any already-spawned worker pool is released: the pool's size is
     /// tied to the thread count, so the next parallel run spawns a
-    /// fresh pool of the new size.
+    /// fresh pool of the new size, under a fresh compute budget.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Simulation {
         self.threads = threads.max(1);
-        self.pool = Arc::new(OnceLock::new());
+        self.release_pool();
         self
     }
 
@@ -436,13 +447,20 @@ impl Simulation {
     /// stream, and therefore every estimate, is bit-identical
     /// whatever sink is attached, and flushes happen per batch of
     /// work, never per trial. Any already-spawned worker pool is
-    /// released so the next parallel run spawns workers wired to the
-    /// new sink.
+    /// released (with its compute budget) so the next parallel run
+    /// spawns workers wired to the new sink.
     #[must_use]
     pub fn with_metrics(mut self, sink: Arc<dyn MetricsSink>) -> Simulation {
         self.sink = sink;
-        self.pool = Arc::new(OnceLock::new());
+        self.release_pool();
         self
+    }
+
+    /// Detaches this engine from its pool and compute budget; the next
+    /// parallel run spawns a fresh pool.
+    fn release_pool(&mut self) {
+        self.pool = Arc::new(OnceLock::new());
+        self.budget = Arc::new(ComputeBudget::default());
     }
 
     /// Attaches a deterministic fault-injection plan (see
@@ -478,8 +496,9 @@ impl Simulation {
     }
 
     /// A copy of this engine with a different seed, **sharing the
-    /// worker pool** — sweeps reuse one set of threads across grid
-    /// points while keeping per-point streams independent.
+    /// worker pool** and its compute budget — sweeps reuse one set of
+    /// threads across grid points while keeping per-point streams
+    /// independent.
     #[must_use]
     pub fn reseeded(&self, seed: u64) -> Simulation {
         let mut copy = self.clone();
@@ -488,9 +507,10 @@ impl Simulation {
     }
 
     /// A copy of this engine with a different trial budget *and* seed,
-    /// still **sharing the worker pool** — a server answering
-    /// per-request Monte-Carlo queries batches every request's jobs
-    /// onto one persistent set of worker threads.
+    /// still **sharing the worker pool** and its compute budget — a
+    /// server answering per-request Monte-Carlo queries batches every
+    /// request's jobs onto one persistent set of worker threads, and
+    /// concurrent requests split the engine's `threads` between them.
     ///
     /// Like [`Simulation::reseeded`], retargeting never changes an
     /// estimate: batch `i`'s RNG stream is a pure function of
@@ -571,16 +591,18 @@ impl Simulation {
         SimulationReport::from_counts(totals.wins, self.trials)
     }
 
-    /// The number of threads a parallel run will actually use
-    /// (including the calling thread).
+    /// The most threads a run will use (including the calling
+    /// thread): it uses at most this many, and fewer when other runs
+    /// sharing the engine's compute budget are executing when it
+    /// starts.
     ///
     /// The configured thread count is clamped to the number of
     /// batches: a worker beyond the `batches`-th would find the queue
     /// already drained and exit immediately, so asking for more
     /// threads than batches must not occupy idle workers. A single
     /// batch (or a single configured thread) runs on the caller's
-    /// thread alone. The clamp never changes the estimate — batch
-    /// `i`'s RNG stream depends only on `(seed, i)`.
+    /// thread alone. Neither the clamp nor the budget changes the
+    /// estimate — batch `i`'s RNG stream depends only on `(seed, i)`.
     #[must_use]
     pub fn planned_workers(&self) -> usize {
         let batches = self.trials.div_ceil(self.batch_size);
@@ -627,33 +649,46 @@ impl Simulation {
         }
     }
 
-    /// Runs an owned (`'static`) kernel — sequentially, or on the
-    /// persistent pool when parallelism is planned.
+    /// Admits a run to the compute budget: the calling thread, plus
+    /// the helpers it may add. The one place that decides how many
+    /// threads a run gets, for the pooled and the scoped path alike.
+    fn admit(&self) -> Admission<'_> {
+        self.budget.admit(self.threads, self.planned_workers())
+    }
+
+    /// Runs every batch on the calling thread.
+    fn run_inline<K: Kernel>(&self, kernel: &K, params: TrialParams, batches: u64) -> BatchTotals {
+        let mut totals = BatchTotals::default();
+        for batch in 0..batches {
+            totals.merge(execute_batch(
+                kernel,
+                params,
+                batch,
+                self.chaos.as_deref(),
+                &*self.sink,
+                Attempt::Coordinator,
+            ));
+        }
+        totals
+    }
+
+    /// Runs an owned (`'static`) kernel — inline, or on the persistent
+    /// pool when the budget grants helpers.
     fn run_owned<K: Kernel + Send + 'static>(&self, kernel: K, params: TrialParams) -> BatchTotals {
         let batches = params.trials.div_ceil(params.batch_size);
-        let workers = self.planned_workers();
-        if workers == 1 {
-            let mut totals = BatchTotals::default();
-            for batch in 0..batches {
-                totals.merge(execute_batch(
-                    &kernel,
-                    params,
-                    batch,
-                    self.chaos.as_deref(),
-                    &*self.sink,
-                    Attempt::Coordinator,
-                ));
-            }
-            totals
-        } else {
-            self.run_pooled(kernel, params, batches, workers)
+        let admission = self.admit();
+        match admission.helpers() {
+            0 => self.run_inline(&kernel, params, batches),
+            helpers => self.run_pooled(kernel, params, batches, helpers),
         }
     }
 
-    /// Ships an owned kernel to the persistent pool: `workers - 1`
-    /// pool jobs plus the calling thread drain a shared batch
+    /// Ships an owned kernel to the persistent pool: one pool job per
+    /// budgeted helper plus the calling thread drain a shared batch
     /// counter, each completed batch reporting `(index, totals)` back
-    /// to this coordinating thread.
+    /// to this coordinating thread. `helpers` is what the compute
+    /// budget granted, at most `planned_workers − 1`; the calling
+    /// thread is never one of them.
     ///
     /// The coordinator is the fault boundary. It waits for worker
     /// results under the run deadline only (never unboundedly), keeps
@@ -668,11 +703,11 @@ impl Simulation {
         kernel: K,
         params: TrialParams,
         batches: u64,
-        workers: usize,
+        helpers: usize,
     ) -> BatchTotals {
         contracts::invariant!(
-            workers >= 2 && workers as u64 <= batches,
-            "worker count must be clamped to the batch count"
+            helpers >= 1 && (helpers as u64) < batches,
+            "helper count must be clamped to the batch count"
         );
         let pool = self.pool.get_or_init(|| {
             WorkerPool::spawn(
@@ -691,7 +726,7 @@ impl Simulation {
             sink: Arc::clone(&self.sink),
         });
         let (done_out, done_in) = mpsc::channel::<(u64, BatchTotals)>();
-        for job_id in 0..(workers - 1) as u64 {
+        for job_id in 0..helpers as u64 {
             let run = Arc::clone(&run);
             let done_out = done_out.clone();
             let job = Job::new(
@@ -790,72 +825,57 @@ impl Simulation {
         }
     }
 
-    /// Runs a borrowed kernel — sequentially, or on per-run scoped
-    /// threads. Borrowed kernels (the [`GenericKernel`] fallback,
-    /// which holds the caller's rule) cannot ride the persistent
-    /// pool, whose jobs must be `'static`.
+    /// Runs a borrowed kernel — inline, or with per-run scoped helper
+    /// threads when the budget grants them. Borrowed kernels (the
+    /// [`GenericKernel`] fallback, which holds the caller's rule)
+    /// cannot ride the persistent pool, whose jobs must be `'static`.
     ///
-    /// Scoped workers recover injected faults in place (the
+    /// Scoped helpers recover injected faults in place (the
     /// [`Attempt::Coordinator`] policy): scope joins are reliable and
     /// stalls are finite, so there is no lost-batch reclaim to
     /// exercise here and every wait stays bounded.
     fn run_borrowed<K: Kernel>(&self, kernel: &K, params: TrialParams) -> BatchTotals {
         let batches = params.trials.div_ceil(params.batch_size);
-        let workers = self.planned_workers();
-        let chaos = self.chaos.as_deref();
-        if workers == 1 {
-            let mut totals = BatchTotals::default();
-            for batch in 0..batches {
-                totals.merge(execute_batch(
+        let admission = self.admit();
+        let helpers = admission.helpers();
+        if helpers == 0 {
+            return self.run_inline(kernel, params, batches);
+        }
+        contracts::invariant!(
+            (helpers as u64) < batches,
+            "helper count must be clamped to the batch count"
+        );
+        let next_batch = AtomicU64::new(0);
+        let drain = || {
+            let mut local = BatchTotals::default();
+            loop {
+                let batch = next_batch.fetch_add(1, Ordering::Relaxed);
+                if batch >= batches {
+                    return local;
+                }
+                local.merge(execute_batch(
                     kernel,
                     params,
                     batch,
-                    chaos,
+                    self.chaos.as_deref(),
                     &*self.sink,
                     Attempt::Coordinator,
                 ));
             }
-            return totals;
-        }
-        contracts::invariant!(
-            workers >= 2 && workers as u64 <= batches,
-            "worker count must be clamped to the batch count"
-        );
-        let next_batch = AtomicU64::new(0);
-        let totals = std::sync::Mutex::new(BatchTotals::default());
+        };
         std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut local = BatchTotals::default();
-                    loop {
-                        let batch = next_batch.fetch_add(1, Ordering::Relaxed);
-                        if batch >= batches {
-                            break;
-                        }
-                        local.merge(execute_batch(
-                            kernel,
-                            params,
-                            batch,
-                            chaos,
-                            &*self.sink,
-                            Attempt::Coordinator,
-                        ));
-                    }
-                    // One uncontended lock per worker per run.
-                    totals
-                        .lock()
-                        // xtask:allow(no-panic): a poisoned lock means a sibling worker already panicked
-                        .expect("totals lock poisoned")
-                        .merge(local);
-                });
+            let handles: Vec<_> = (0..helpers).map(|_| scope.spawn(drain)).collect();
+            // The calling thread pulls its weight, then joins; a
+            // helper's panic propagates to this thread.
+            let mut totals = drain();
+            for handle in handles {
+                match handle.join() {
+                    Ok(local) => totals.merge(local),
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
             }
-            // Leaving the scope joins every worker; a worker panic
-            // propagates to this thread.
-        });
-        totals
-            .into_inner()
-            // xtask:allow(no-panic): worker panics propagate out of the scope above first
-            .expect("totals lock poisoned")
+            totals
+        })
     }
 }
 
@@ -1080,6 +1100,7 @@ mod tests {
         let _ = sim.run(&rule, 1.0);
         let reseeded = sim.reseeded(6);
         assert!(Arc::ptr_eq(&sim.pool, &reseeded.pool));
+        assert!(Arc::ptr_eq(&sim.budget, &reseeded.budget));
         assert_eq!(reseeded.run(&rule, 1.0), {
             let fresh = Simulation::new(40_000, 6)
                 .with_threads(4)
@@ -1088,6 +1109,9 @@ mod tests {
         });
         let rethreaded = sim.clone().with_threads(2);
         assert!(!Arc::ptr_eq(&sim.pool, &rethreaded.pool));
+        assert!(!Arc::ptr_eq(&sim.budget, &rethreaded.budget));
+        let remetered = sim.clone().with_metrics(Arc::new(NoopSink));
+        assert!(!Arc::ptr_eq(&sim.budget, &remetered.budget));
         assert!(rethreaded.pool.get().is_none());
     }
 

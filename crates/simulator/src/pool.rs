@@ -23,11 +23,23 @@
 //! and reclaimed the work), so a backed-up queue cannot waste time on
 //! results nobody is waiting for.
 //!
-//! Determinism is unaffected by pooling, supervision, or respawns.
-//! Each batch's RNG stream is a pure function of `(seed, batch)` and
-//! win counts are summed commutatively, so *which* worker executes a
-//! batch — or whether that worker is the original or a replacement —
-//! cannot change the report.
+//! # Compute budget
+//!
+//! Clones of one engine share the pool, and a server runs many of
+//! them at once, so "every run recruits `threads − 1` helpers" would
+//! put `runs × threads` threads on `threads` cores. Every engine
+//! therefore owns one [`ComputeBudget`] of `threads` batch-executing
+//! threads, shared by every clone that shares the pool. A run's
+//! calling thread always executes batches (so no run ever waits for
+//! budget) and counts against it; the run then adds pool helpers only
+//! for budget that is idle when it starts ([`helpers_for`]), and
+//! returns caller and helpers to the budget when it completes.
+//!
+//! Determinism is unaffected by pooling, budgeting, supervision, or
+//! respawns. Each batch's RNG stream is a pure function of
+//! `(seed, batch)` and win counts are summed commutatively, so
+//! *which* thread executes a batch — the caller, a helper, or a
+//! replacement worker — cannot change the report.
 //!
 //! # Observability
 //!
@@ -45,10 +57,87 @@
 use crate::metrics::keys;
 use crate::SimulationError;
 use obs::{Deadline, MetricsSink, SpanTimer};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// How many helpers a run may add beside its calling thread: its
+/// planned parallelism minus the caller, capped by the budget left
+/// idle once the caller itself is counted in `executing`.
+fn helpers_for(planned_workers: usize, threads: usize, executing: usize) -> usize {
+    planned_workers
+        .saturating_sub(1)
+        .min(threads.saturating_sub(executing))
+}
+
+/// An engine's compute budget: how many threads are executing its
+/// batches right now — callers, pool helpers and scoped helpers
+/// alike — measured against the engine's `threads`.
+#[derive(Debug, Default)]
+pub(crate) struct ComputeBudget {
+    executing: AtomicUsize,
+}
+
+/// The threads one run may use: its calling thread, always, and the
+/// helpers the budget had idle when the run started. All of them
+/// count as executing until the admission drops at the end of the run.
+#[derive(Debug)]
+pub(crate) struct Admission<'a> {
+    budget: &'a ComputeBudget,
+    helpers: usize,
+}
+
+impl Admission<'_> {
+    /// Helper threads granted beside the calling thread.
+    pub(crate) fn helpers(&self) -> usize {
+        self.helpers
+    }
+}
+
+impl Drop for Admission<'_> {
+    fn drop(&mut self) {
+        self.budget
+            .executing
+            .fetch_sub(1 + self.helpers, Ordering::AcqRel);
+    }
+}
+
+impl ComputeBudget {
+    /// Admits a run planned for `planned_workers` threads on an engine
+    /// of `threads`: counts the calling thread, then reserves
+    /// [`helpers_for`] helpers in one atomic step, so concurrent
+    /// admissions never hand out the same idle thread twice.
+    pub(crate) fn admit(&self, threads: usize, planned_workers: usize) -> Admission<'_> {
+        let mut executing = self.executing.fetch_add(1, Ordering::AcqRel) + 1;
+        let helpers = loop {
+            let helpers = helpers_for(planned_workers, threads, executing);
+            if helpers == 0 {
+                break 0;
+            }
+            match self.executing.compare_exchange_weak(
+                executing,
+                executing + helpers,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => break helpers,
+                Err(now) => executing = now,
+            }
+        };
+        Admission {
+            budget: self,
+            helpers,
+        }
+    }
+
+    /// Threads currently counted as executing batches.
+    #[cfg(test)]
+    pub(crate) fn executing(&self) -> usize {
+        self.executing.load(Ordering::Acquire)
+    }
+}
 
 /// The closure a job runs.
 type Work = Box<dyn FnOnce() + Send + 'static>;
@@ -371,6 +460,67 @@ mod tests {
             assert!(!deadline.expired(), "worker liveness never settled");
             std::thread::sleep(Duration::from_millis(1));
         }
+    }
+
+    #[test]
+    fn the_budget_adds_helpers_only_onto_idle_threads() {
+        // Two cores: a lone run gets its helper, a run that starts
+        // while it executes runs on its caller alone.
+        let budget = ComputeBudget::default();
+        let first = budget.admit(2, 2);
+        assert_eq!(first.helpers(), 1);
+        let second = budget.admit(2, 2);
+        assert_eq!(second.helpers(), 0);
+        assert_eq!(budget.executing(), 3, "callers always count");
+        drop((first, second));
+        assert_eq!(budget.executing(), 0);
+
+        // Eight cores: 7 helpers alone; a second run gets none while
+        // they are busy, and a third gets 6 once they are free (the
+        // second run's caller still executes).
+        let first = budget.admit(8, 8);
+        assert_eq!(first.helpers(), 7);
+        let second = budget.admit(8, 8);
+        assert_eq!(second.helpers(), 0);
+        drop(first);
+        let third = budget.admit(8, 8);
+        assert_eq!(third.helpers(), 6);
+        drop((second, third));
+        assert_eq!(budget.executing(), 0);
+
+        // The planned-workers clamp still bounds the helpers.
+        assert_eq!(budget.admit(8, 3).helpers(), 2);
+        assert_eq!(budget.admit(8, 1).helpers(), 0);
+        assert_eq!(budget.admit(1, 1).helpers(), 0);
+        assert_eq!(budget.executing(), 0);
+    }
+
+    #[test]
+    fn concurrent_admissions_never_overcommit_helpers() {
+        // A helper is granted only from idle budget, and every caller
+        // counts, so however admissions interleave the helpers out at
+        // once never exceed `threads − 1`.
+        let threads = 3;
+        let budget = ComputeBudget::default();
+        let helpers_out = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..2_000 {
+                        let admission = budget.admit(threads, threads);
+                        let granted = admission.helpers();
+                        let out = helpers_out.fetch_add(granted, Ordering::AcqRel) + granted;
+                        assert!(out < threads, "{out} helpers out of {threads} threads");
+                        // Hold the grant across a reschedule so the
+                        // callers' runs overlap.
+                        std::thread::yield_now();
+                        helpers_out.fetch_sub(granted, Ordering::AcqRel);
+                        drop(admission);
+                    }
+                });
+            }
+        });
+        assert_eq!(budget.executing(), 0);
     }
 
     #[test]

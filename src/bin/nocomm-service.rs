@@ -12,9 +12,10 @@
 //! client sends a `shutdown` request or the process is killed.
 //!
 //! `--smoke` is the CI self-test: it starts a daemon in-process on an
-//! ephemeral port, round-trips one query of every kind over real TCP,
-//! checks each answer against a direct library call, shuts the daemon
-//! down gracefully, and exits non-zero on any mismatch.
+//! ephemeral port, round-trips one query of every kind over real TCP
+//! (`simulate` from three connections at once), checks each answer
+//! against a direct library call, shuts the daemon down gracefully,
+//! and exits non-zero on any mismatch.
 
 use nocomm::service::{
     Client, Outcome, Request, Response, RuleFamily, RuleSpec, Service, ServiceConfig,
@@ -141,39 +142,62 @@ fn smoke_threshold(client: &mut Client) -> Result<(), String> {
     Ok(())
 }
 
-/// The `simulate` leg of the smoke: served counts must match a
-/// direct engine run with the same (trials, seed, batch_size)
+/// Connections the `simulate` leg drives at once: more than the
+/// daemon's two engine threads, so some runs get a pool helper and
+/// others run inline while the compute budget is busy.
+const SMOKE_CONNECTIONS: u64 = 3;
+
+/// The `simulate` leg of the smoke: [`SMOKE_CONNECTIONS`] clients
+/// send `simulate` requests at once, and every served count must
+/// match a direct engine run with the same (trials, seed, batch_size)
 /// exactly.
-fn smoke_simulate(client: &mut Client) -> Result<(), String> {
+fn smoke_simulate(addr: std::net::SocketAddr) -> Result<(), String> {
     let trials = 50_000;
-    let seed = 7;
-    let outcome = expect_ok(
-        "simulate",
-        client
-            .roundtrip(Request::Simulate {
-                delta: 1.0,
-                trials,
-                seed,
-                rule: RuleSpec::threshold(vec![0.622, 0.622, 0.622]),
-            })
-            .map_err(|e| format!("transport failure: {e}"))?,
-    )?;
-    let Outcome::Simulate { wins, trials: done } = outcome else {
-        return Err("simulate answered with the wrong outcome kind".to_owned());
-    };
-    let rule = nocomm::decision::SingleThresholdAlgorithm::from_f64(&[0.622, 0.622, 0.622])
+    let thresholds = [0.622, 0.622, 0.622];
+    let rule = nocomm::decision::SingleThresholdAlgorithm::from_f64(&thresholds)
         .map_err(|e| format!("rule build failed: {e}"))?;
-    let direct = nocomm::simulator::Simulation::new(trials, seed)
+    // The reference runs on one thread: no pool, no budget.
+    let engine = nocomm::simulator::Simulation::new(trials, 0)
         .try_with_batch_size(ServiceConfig::default().batch_size)
         .map_err(|e| format!("engine config failed: {e}"))?
-        .run(&rule, 1.0);
-    if wins != direct.wins || done != direct.trials {
-        return Err(format!(
-            "served run ({wins}/{done}) disagrees with direct run ({}/{})",
-            direct.wins, direct.trials
-        ));
-    }
-    Ok(())
+        .with_threads(1);
+    let connection = |first_seed: u64| -> Result<(), String> {
+        let mut client = Client::connect(addr).map_err(|e| format!("cannot connect: {e}"))?;
+        for seed in first_seed..first_seed + 4 {
+            let outcome = expect_ok(
+                "simulate",
+                client
+                    .roundtrip(Request::Simulate {
+                        delta: 1.0,
+                        trials,
+                        seed,
+                        rule: RuleSpec::threshold(thresholds.to_vec()),
+                    })
+                    .map_err(|e| format!("transport failure: {e}"))?,
+            )?;
+            let Outcome::Simulate { wins, trials: done } = outcome else {
+                return Err("simulate answered with the wrong outcome kind".to_owned());
+            };
+            let direct = engine.reseeded(seed).run(&rule, 1.0);
+            if wins != direct.wins || done != direct.trials {
+                return Err(format!(
+                    "served run ({wins}/{done}) at seed {seed} disagrees with direct run ({}/{})",
+                    direct.wins, direct.trials
+                ));
+            }
+        }
+        Ok(())
+    };
+    std::thread::scope(|scope| {
+        let connections: Vec<_> = (0..SMOKE_CONNECTIONS)
+            .map(|c| scope.spawn(move || connection(7 + 4 * c)))
+            .collect();
+        connections.into_iter().try_for_each(|handle| {
+            handle
+                .join()
+                .map_err(|_| "a simulate connection panicked".to_owned())?
+        })
+    })
 }
 
 fn smoke() -> Result<(), String> {
@@ -252,7 +276,7 @@ fn smoke() -> Result<(), String> {
 
     smoke_threshold(&mut client)?;
 
-    smoke_simulate(&mut client)?;
+    smoke_simulate(addr)?;
 
     // shutdown: acknowledged, then the daemon drains.
     let outcome = expect_ok(
