@@ -268,7 +268,8 @@ fn main() {
     let mut timings = Vec::new();
     let mut metrics_ratios: Vec<(usize, f64)> = Vec::new();
     // `(label, Threefry calls per trial, lane ns)` per lane row: one
-    // call per four players per plane per 16 trials; thresholds read
+    // call per eight players (two draws per word) per plane per 16
+    // trials; thresholds read
     // the input plane only, oblivious rules the coin plane as well.
     let mut lane_rows: Vec<(String, f64, f64)> = Vec::new();
     for n in SIZES {
@@ -314,7 +315,7 @@ fn main() {
         });
         lane_rows.push((
             format!("threshold n = {n} · lane"),
-            n.div_ceil(4) as f64 / LANES as f64,
+            n.div_ceil(8) as f64 / LANES as f64,
             lane_ns,
         ));
         // The instrumented lane path: same engine, a live
@@ -355,7 +356,7 @@ fn main() {
         });
         lane_rows.push((
             format!("oblivious n = {n} · lane"),
-            2.0 * n.div_ceil(4) as f64 / LANES as f64,
+            2.0 * n.div_ceil(8) as f64 / LANES as f64,
             lane_ns,
         ));
         println!(

@@ -28,8 +28,11 @@ pub const MAX_EXACT_THRESHOLD_PLAYERS: usize = 14;
 
 /// The symmetric closed forms evaluate Irwin–Hall CDFs of every order
 /// up to `n`; past the instantiation's
-/// [`Scalar::MAX_IRWIN_HALL_ORDER`] (158 in `f64`) they would overflow
-/// into an infinity or NaN, so such an `n` is refused up front.
+/// [`Scalar::MAX_IRWIN_HALL_ORDER`] (39 in `f64`, 158 in `Ball`) their
+/// answers would be wrong — in `f64` by more than
+/// `contracts::tolerances::PROB_EPS`, with Irwin–Hall errors of 0.1 to
+/// 0.8 by n = 88..=94, and in `Ball` infinite — so such an `n` is
+/// refused up front.
 fn check_irwin_hall_order<S: Scalar>(n: usize) -> Result<(), ModelError> {
     let max = usize::try_from(S::MAX_IRWIN_HALL_ORDER).unwrap_or(usize::MAX);
     if n > max {
@@ -57,7 +60,7 @@ fn check_irwin_hall_order<S: Scalar>(n: usize) -> Result<(), ModelError> {
 /// Returns [`ModelError::TooFewPlayers`] for fewer than 2 players and
 /// [`ModelError::TooManyPlayersForExact`] if an asymmetric vector has
 /// more than 22 players or a symmetric one more than the
-/// instantiation's [`Scalar::MAX_IRWIN_HALL_ORDER`] (158 in `f64`).
+/// instantiation's [`Scalar::MAX_IRWIN_HALL_ORDER`] (39 in `f64`).
 pub fn winning_probability_oblivious_in<S: Scalar>(
     ctx: &mut EvalContext<S>,
     alpha: &[S],
@@ -181,7 +184,7 @@ pub fn winning_probability_oblivious_f64(alpha: &[f64], delta: f64) -> Result<f6
 /// [`ModelError::TooManyPlayersForExact`] if an asymmetric vector has
 /// more than [`MAX_EXACT_THRESHOLD_PLAYERS`] players or a symmetric
 /// one more than the instantiation's [`Scalar::MAX_IRWIN_HALL_ORDER`]
-/// (158 in `f64`).
+/// (39 in `f64`).
 pub fn winning_probability_threshold_in<S: Scalar>(
     ctx: &mut EvalContext<S>,
     thresholds: &[S],
@@ -342,8 +345,9 @@ fn joint_term_in<S: Scalar>(bin0: &[S], bin1: &[S], delta: &S) -> S {
 ///
 /// Returns [`ModelError`] on fewer than 2 players, on an asymmetric
 /// vector of more than [`MAX_EXACT_THRESHOLD_PLAYERS`] players, or on
-/// a symmetric one of more than 158, where the closed form overflows
-/// `f64` ([`Scalar::MAX_IRWIN_HALL_ORDER`]).
+/// a symmetric one of more than 39, past which the closed form's
+/// `f64` error exceeds `contracts::tolerances::PROB_EPS`
+/// ([`Scalar::MAX_IRWIN_HALL_ORDER`]).
 // xtask:allow(no-twin-f64): instantiation wrapper over the generic core
 pub fn winning_probability_threshold_f64(
     thresholds: &[f64],
@@ -555,31 +559,54 @@ mod tests {
                 Err(ModelError::TooManyPlayersForExact { max: 14, .. })
             ));
         }
-        // The symmetric collapsed form has no enumeration cap.
-        assert!(winning_probability_threshold_in(&mut ctx, &[0.6; 40], &13.0).is_ok());
+        // The symmetric collapsed form has no enumeration cap (only
+        // the f64 Irwin–Hall order limit, 39).
+        assert!(winning_probability_threshold_in(&mut ctx, &[0.6; 39], &13.0).is_ok());
     }
 
     #[test]
     fn symmetric_float_evaluations_past_the_irwin_hall_limit_are_errors() {
         // n = 200, β = 0.6, δ = n/3 used to come back as Ok(NaN): the
-        // Irwin–Hall power terms pass f64::MAX.
+        // Irwin–Hall power terms pass f64::MAX. And n = 100 came back
+        // wrong (or outside [0, 1]) long before that: f64 keeps the
+        // Irwin–Hall CDF within PROB_EPS only up to order 39.
         let mut ctx = EvalContext::<f64>::new();
-        let overflow = |n| Err(ModelError::TooManyPlayersForExact { n, max: 158 });
+        let refused = |n| Err(ModelError::TooManyPlayersForExact { n, max: 39 });
         assert_eq!(
             winning_probability_threshold_in(&mut ctx, &[0.6; 200], &(200.0 / 3.0)),
-            overflow(200)
+            refused(200)
         );
         assert_eq!(
             winning_probability_oblivious_in(&mut ctx, &[0.5; 200], &97.0),
-            overflow(200)
+            refused(200)
         );
-        // The limit is exact: 158 players evaluate, 159 do not.
-        assert!(winning_probability_threshold_in(&mut ctx, &[0.6; 158], &1.0).is_ok());
         assert_eq!(
-            winning_probability_threshold_in(&mut ctx, &[0.6; 159], &1.0),
-            overflow(159)
+            winning_probability_threshold_in(&mut ctx, &[0.6; 100], &(100.0 / 3.0)),
+            refused(100)
         );
-        // The exact instantiation has no float limit.
+        // The limit is exact: 39 players evaluate, 40 do not.
+        assert!(winning_probability_threshold_in(&mut ctx, &[0.6; 39], &13.0).is_ok());
+        assert_eq!(
+            winning_probability_threshold_in(&mut ctx, &[0.6; 40], &1.0),
+            refused(40)
+        );
+        // `Ball` keeps its own, larger limit: its enclosures stay
+        // rigorous until the terms overflow.
+        let mut balls = EvalContext::<rational::Ball>::new();
+        let beta = rational::Ball::from_ratio(3, 5);
+        let mut at = |n: usize| {
+            winning_probability_threshold_in(
+                &mut balls,
+                &vec![beta; n],
+                &rational::Ball::from_ratio(1, 1),
+            )
+        };
+        assert!(at(158).is_ok());
+        assert_eq!(
+            at(159).map(|_| ()),
+            Err(ModelError::TooManyPlayersForExact { n: 159, max: 158 })
+        );
+        // The exact instantiation has no limit.
         let exact = winning_probability_threshold_in(
             &mut EvalContext::<Rational>::new(),
             &vec![Rational::ratio(3, 5); 170],

@@ -86,11 +86,12 @@ mod xoshiro {
 /// Unlike the sequential [`rngs::StdRng`] stream, nothing here has
 /// mutable state: the caller addresses randomness by counter, so any
 /// draw can be produced (or reproduced) in isolation. The simulator's
-/// stream-v3 lane kernel builds on exactly that — lane `j` of
-/// trial-batch `i` derives its uniforms from counters that encode
-/// `(batch, trial, draw)`, which makes lane-width, thread-count, and
-/// checkpoint/resume invariance properties hold by construction
-/// rather than by careful stream bookkeeping.
+/// lane kernel builds on exactly that — lane `j` of trial-batch `i`
+/// derives its uniforms from counters that encode `(batch, trial,
+/// draw)`, two per output word ([`counter::half_to_unit`]), which
+/// makes lane-width, thread-count, and checkpoint/resume invariance
+/// properties hold by construction rather than by careful stream
+/// bookkeeping.
 ///
 /// The mix network is the Threefry-4×64 round structure from Salmon
 /// et al., "Parallel random numbers: as easy as 1, 2, 3" (SC'11):
@@ -283,16 +284,36 @@ pub mod counter {
         [x[0][0], x[1][0], x[2][0], x[3][0]]
     }
 
-    /// Maps one 64-bit word to the canonical `[0, 1)` float — the
-    /// identical 53-bit construction behind [`unit_f64`], so counter
-    /// words and sequential draws land on the same float lattice.
+    /// Float bits of `1.0`: exponent `0x3ff`, zero mantissa.
+    const ONE_BITS: u64 = 0x3ff0_0000_0000_0000;
+
+    /// Mantissa bits 51..=20, where a 32-bit half lands so that it
+    /// counts units of `2⁻³²` above `1.0`.
+    const HALF_MASK: u64 = 0x000f_ffff_fff0_0000;
+
+    /// Mantissa bit 19: `2⁻³³`, the lattice's half-step offset.
+    const MIDPOINT_BIT: u64 = 1 << 19;
+
+    /// Maps half `half` of a 64-bit counter word — `0` for the high
+    /// 32 bits, `1` for the low 32 bits — to the midpoint lattice
+    /// `u = (h + ½)·2⁻³²` in the open interval `(0, 1)`. Every
+    /// Threefry word therefore carries two uniforms.
     ///
-    /// [`unit_f64`]: crate::unit_f64
-    // xtask:allow(no-twin-f64): bit-level RNG conversion, not a twin of an exact pipeline
+    /// The lattice is symmetric: `u ↦ 1 − u` sends it onto itself
+    /// (`h ↦ 2³² − 1 − h`), its mean over all `h` is exactly `½`, and
+    /// no point equals a dyadic rational with at most 32 fraction
+    /// bits, so no draw ties a threshold such as `½` or `¾`. Each draw
+    /// is within `2⁻³³` of a continuous uniform.
+    ///
+    /// Computed with integer operations only: the half's bits and the
+    /// midpoint bit become the mantissa of a float in `[1, 2)`, and
+    /// subtracting `1.0` is exact there (Sterbenz). `half` must be `0`
+    /// or `1`; only its low bit is read.
+    #[inline]
     #[must_use]
-    pub fn word_to_unit(word: u64) -> f64 {
-        // 2^-53; the standard bit-shift construction.
-        (word >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0)
+    pub fn half_to_unit(word: u64, half: usize) -> f64 {
+        let bits = ((word << (32 * (half & 1))) >> 12) & HALF_MASK;
+        f64::from_bits(ONE_BITS | MIDPOINT_BIT | bits) - 1.0
     }
 }
 
@@ -396,13 +417,14 @@ impl<G: RngCore> RngCore for CountingRng<G> {
 
 /// Converts 53 random bits into a uniform `f64` in `[0, 1)`.
 ///
-/// This is the canonical conversion behind every float sample in the
-/// workspace: [`Rng::gen_range`] over `0.0..1.0` returns exactly this
-/// value, and the counter stream converts its words the same way
-/// ([`counter::word_to_unit`]).
+/// This is the canonical conversion behind every float sample drawn
+/// from a sequential generator: [`Rng::gen_range`] over `0.0..1.0`
+/// returns exactly this value. (The counter stream converts its words
+/// differently, two uniforms per word: [`counter::half_to_unit`].)
 // xtask:allow(no-twin-f64): bit-level RNG conversion, not a twin of an exact pipeline
 pub fn unit_f64<G: RngCore>(rng: &mut G) -> f64 {
-    counter::word_to_unit(rng.next_u64())
+    // 2^-53; the standard bit-shift construction.
+    (rng.next_u64() >> 11) as f64 * (1.0 / 9_007_199_254_740_992.0)
 }
 
 impl SampleRange<f64> for core::ops::Range<f64> {
@@ -461,7 +483,7 @@ int_sample_range!(
 
 #[cfg(test)]
 mod counter_tests {
-    use super::counter::{threefry4x64, threefry4x64_lanes, word_to_unit, CounterKey};
+    use super::counter::{half_to_unit, threefry4x64, threefry4x64_lanes, CounterKey};
     use super::rngs::StdRng;
     use super::{RngCore, SeedableRng};
 
@@ -570,33 +592,90 @@ mod counter_tests {
     #[test]
     fn counter_units_are_uniform() {
         let key = CounterKey::from_seed(9);
-        let n = 50_000u64;
+        let n = 25_000u64;
         let mut sum = 0.0;
         let mut below_tenth = 0u32;
         for c in 0..n {
             for w in threefry4x64(&key, [c, 0, 0, 0]) {
-                let x = word_to_unit(w);
-                assert!((0.0..1.0).contains(&x), "{x}");
-                sum += x;
-                if x < 0.1 {
-                    below_tenth += 1;
+                for half in 0..2 {
+                    let x = half_to_unit(w, half);
+                    assert!(0.0 < x && x < 1.0, "{x}");
+                    sum += x;
+                    if x < 0.1 {
+                        below_tenth += 1;
+                    }
                 }
             }
         }
-        let draws = (n * 4) as f64;
+        let draws = (n * 8) as f64;
         let mean = sum / draws;
         assert!((mean - 0.5).abs() < 0.005, "mean {mean}");
         let frac = f64::from(below_tenth) / draws;
         assert!((frac - 0.1).abs() < 0.005, "P(x < 0.1) ~ {frac}");
     }
 
+    /// The lattice point of a 32-bit half `h`: `(h + ½)·2⁻³²`.
+    fn lattice(h: u32) -> f64 {
+        (f64::from(h) + 0.5) / 4_294_967_296.0
+    }
+
     #[test]
-    fn word_to_unit_matches_unit_f64() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let mut twin = StdRng::seed_from_u64(31);
+    fn halves_map_onto_the_midpoint_lattice() {
+        let tiny = 1.0 / 8_589_934_592.0; // 2^-33
+        assert_eq!(half_to_unit(0, 0), tiny);
+        assert_eq!(half_to_unit(0, 1), tiny);
+        assert_eq!(half_to_unit(u64::MAX, 0), 1.0 - tiny);
+        assert_eq!(half_to_unit(u64::MAX, 1), 1.0 - tiny);
+        // Half 0 reads the high 32 bits, half 1 the low 32 bits.
+        let word = 0x8000_0000_0000_0001u64;
+        assert_eq!(half_to_unit(word, 0), lattice(0x8000_0000));
+        assert_eq!(half_to_unit(word, 1), lattice(1));
+        let mut rng = StdRng::seed_from_u64(5);
         for _ in 0..10_000 {
-            assert_eq!(super::unit_f64(&mut rng), word_to_unit(twin.next_u64()));
+            let word = rng.next_u64();
+            let (high, low) = ((word >> 32) as u32, word as u32);
+            assert_eq!(half_to_unit(word, 0), lattice(high));
+            assert_eq!(half_to_unit(word, 1), lattice(low));
+            // `1 − u` is exact and lands on the lattice point of the
+            // complementary half.
+            assert_eq!(1.0 - half_to_unit(word, 0), lattice(!high));
+            assert_eq!(1.0 - half_to_unit(word, 1), lattice(!low));
         }
+        // No lattice point ties a dyadic threshold.
+        for h in [
+            0x3fff_ffffu32,
+            0x4000_0000,
+            0x7fff_ffff,
+            0x8000_0000,
+            0xc000_0000,
+        ] {
+            for threshold in [0.25, 0.5, 0.75] {
+                assert_ne!(lattice(h), threshold);
+            }
+        }
+    }
+
+    #[test]
+    fn the_two_halves_of_a_word_are_independent() {
+        // Chi-square over the joint (high, low) cell of one word on a
+        // 16 × 16 grid: 255 degrees of freedom, whose 1e-6 upper
+        // quantile is about 375.
+        let key = CounterKey::from_seed(13);
+        let mut cells = [0u32; 256];
+        let blocks = 12_800u64;
+        for c in 0..blocks {
+            for w in threefry4x64(&key, [c, 1, 2, 3]) {
+                let cell = |half| (half_to_unit(w, half) * 16.0) as usize;
+                cells[16 * cell(0) + cell(1)] += 1;
+            }
+        }
+        let expected = (blocks * 4) as f64 / 256.0;
+        let chi2: f64 = cells
+            .iter()
+            .map(|&count| (f64::from(count) - expected).powi(2) / expected)
+            .sum();
+        assert!(chi2 < 375.0, "chi-square {chi2} on 255 degrees of freedom");
+        assert!(chi2 > 160.0, "chi-square {chi2} suspiciously small");
     }
 }
 

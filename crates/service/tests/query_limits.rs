@@ -1,6 +1,7 @@
 //! Answers the daemon must refuse rather than compute: an analytic
-//! answer that would overflow into a NaN (which JSON cannot carry), an
-//! asymmetric threshold enumeration past its cap, and Monte-Carlo
+//! answer that would overflow into a NaN (which JSON cannot carry) or
+//! be silently inaccurate, an asymmetric threshold enumeration past
+//! its cap, and Monte-Carlo
 //! systems past [`MAX_PLAYERS`]. Each must come back as a parseable
 //! `ok: false` line, fast, on a connection that stays up.
 
@@ -53,7 +54,7 @@ fn overflowing_analytic_answers_are_errors_not_nan() {
             delta,
             rule: RuleSpec::threshold(vec![0.6; 200]),
         },
-        "at most 158 players",
+        "at most 39 players",
     );
     assert_refused(
         &mut stream,
@@ -62,7 +63,7 @@ fn overflowing_analytic_answers_are_errors_not_nan() {
             delta,
             grid: 4,
         },
-        "at most 158 players",
+        "at most 39 players",
     );
     // The connection stays up and a sane query still answers.
     let (response, _) = raw_roundtrip(
@@ -73,6 +74,47 @@ fn overflowing_analytic_answers_are_errors_not_nan() {
         },
     );
     assert!(matches!(response.outcome, Ok(Outcome::PWin { .. })));
+    daemon.shutdown();
+}
+
+#[test]
+fn inaccurate_symmetric_closed_forms_are_refused() {
+    // Past order 39 the f64 Irwin–Hall CDF drifts beyond PROB_EPS;
+    // at n = 100 it leaves [0, 1], which used to kill the connection
+    // thread on the probability contract in debug builds and served a
+    // wrong number in release ones.
+    let daemon = Service::start(ServiceConfig::default()).expect("daemon start");
+    let mut stream = TcpStream::connect(daemon.local_addr()).expect("connect");
+    let n = 100;
+    let delta = n as f64 / 3.0;
+    assert_refused(
+        &mut stream,
+        Request::PWin {
+            delta,
+            rule: RuleSpec::threshold(vec![0.6; n]),
+        },
+        "at most 39 players",
+    );
+    assert_refused(
+        &mut stream,
+        Request::PWin {
+            delta,
+            rule: RuleSpec::oblivious(vec![0.5; n]),
+        },
+        "at most 39 players",
+    );
+    // The largest accurate order is still served, as a probability.
+    let (response, _) = raw_roundtrip(
+        &mut stream,
+        Request::PWin {
+            delta: 13.0,
+            rule: RuleSpec::threshold(vec![0.6; 39]),
+        },
+    );
+    match response.outcome {
+        Ok(Outcome::PWin { value, .. }) => assert!((0.0..=1.0).contains(&value), "{value}"),
+        other => panic!("n = 39 pwin answered {other:?}"),
+    }
     daemon.shutdown();
 }
 

@@ -12,8 +12,10 @@ use service::{Client, Outcome, Request, RuleSpec, Service, ServiceConfig};
 /// Trials per served estimate: σ ≤ 0.0016 at this budget.
 const TRIALS: u64 = 100_000;
 
-/// `(rule, δ, seed)` cases: both hinted families at n = 3 and 5, one
-/// symmetric and one asymmetric rule per family.
+/// `(rule, δ, seed)` cases: both hinted families at n = 3, 5, 8 and
+/// 9, symmetric and asymmetric rules. Eight draws share a Threefry
+/// block, so n = 8 fills one block per plane exactly and n = 9 reads
+/// the first draw of a second block.
 fn cases() -> Vec<(RuleSpec, f64, u64)> {
     vec![
         (RuleSpec::threshold(vec![0.622; 3]), 1.0, 101),
@@ -27,6 +29,18 @@ fn cases() -> Vec<(RuleSpec, f64, u64)> {
             RuleSpec::oblivious(vec![0.3, 0.4, 0.5, 0.6, 0.7]),
             5.0 / 3.0,
             104,
+        ),
+        (
+            RuleSpec::threshold(vec![0.5, 0.55, 0.6, 0.62, 0.64, 0.66, 0.7, 0.75]),
+            8.0 / 3.0,
+            105,
+        ),
+        (RuleSpec::oblivious(vec![0.5; 8]), 8.0 / 3.0, 106),
+        (RuleSpec::threshold(vec![0.66; 9]), 3.0, 107),
+        (
+            RuleSpec::oblivious(vec![0.2, 0.3, 0.4, 0.45, 0.5, 0.55, 0.6, 0.7, 0.8]),
+            3.0,
+            108,
         ),
     ]
 }

@@ -39,20 +39,50 @@
 //! * **v4**: draws exactly v3's; the lane loop consumes each
 //!   Threefry block in registers instead of filling a per-batch row
 //!   buffer.
-//! * **v5** (current): every rule runs on the lane kernel and there
-//!   is no sequential stream. Hinted draws are exactly v4's, so every
-//!   hinted estimate and golden is unchanged; opaque rules moved from
-//!   the v2 stream to the counter draws, which changes their
-//!   estimates for a given seed.
+//! * **v5**: every rule runs on the lane kernel and there is no
+//!   sequential stream. Hinted draws were exactly v4's; opaque rules
+//!   moved from the v2 stream to the counter draws.
+//! * **v6** (current): every 64-bit Threefry word carries two
+//!   uniforms, its high and its low 32-bit half, each mapped to the
+//!   midpoint lattice `u = (h + ½)·2⁻³²`
+//!   ([`rand::counter::half_to_unit`]). Uniform `(kind, p)` of trial
+//!   `t` in batch `i` is half `p mod 2` (`0` = high) of word
+//!   `(p mod 8) / 2` of the block at counter
+//!   `[i, t, kind << 32 | p / 8, domain]`, so a plane costs `⌈n / 8⌉`
+//!   blocks per trial instead of `⌈n / 4⌉`. The planes are unchanged,
+//!   so common random numbers across rules and fault rates hold as
+//!   before. Every draw moved, so every estimate for a given seed
+//!   changed.
 //!
 //! Consequently, same-version estimates are bit-for-bit reproducible
 //! across thread counts, batch schedules, pool reuse, lane widths and
-//! hinted vs opaque dispatch. The expectation tests below were
-//! re-pinned against v3 deliberately and hold unchanged at v5.
+//! hinted vs opaque dispatch. The expectation tests below are
+//! statistical and hold at every version; the stream goldens in
+//! `tests/stream_v3.rs` are re-pinned at each version that moves a
+//! draw.
+//!
+//! # Lattice bias (v6)
+//!
+//! A v6 draw lies strictly inside `(0, 1)`, the lattice has mean
+//! exactly `½` and is symmetric under `u ↦ 1 − u`, and no draw can tie
+//! a dyadic threshold such as `½` or `¾`. Coupling each draw with the
+//! continuous uniform it rounds (they differ by at most `2⁻³³`), a
+//! trial's outcome can differ only when a draw lies within `2⁻³³` of a
+//! decision or crash boundary, or a bin sum lies within `n·2⁻³³` of
+//! `δ`. Each of those events has probability at most `2⁻³²` per draw
+//! and `n·2⁻³²` per bin sum (an input's density is at most 1, and so
+//! is that of any sum containing one). For threshold and oblivious rules that bounds the
+//! systematic error by `|P_v6 − P| ≤ 3n·2⁻³²` in a crash-free run
+//! (one boundary per player, two bin sums) and by `4n·2⁻³²` with
+//! crashes: about `9e-8` and `1.2e-7` at `n = 128`. An opaque rule
+//! adds `2⁻³²` per player for every further boundary its decision
+//! sets have. The smallest Monte-Carlo standard error the daemon can
+//! produce (`max_trials` = 5e7, `P` near ½) is about `7e-5`, so the
+//! bias sits three orders of magnitude below the noise.
 
 use crate::chaos::{self, ChaosPlan, ChaosUnwind, FaultKind};
 use crate::kernel::{
-    DrawKind, GenericKernel, Kernel, ObliviousKernel, ThresholdKernel, KIND_SHIFT,
+    DrawKind, GenericKernel, Kernel, ObliviousKernel, ThresholdKernel, DRAWS_PER_BLOCK, KIND_SHIFT,
     LANE_STREAM_DOMAIN,
 };
 use crate::metrics::keys;
@@ -60,14 +90,14 @@ use crate::pool::{Admission, ComputeBudget, Job, PoolConfig, WorkerPool};
 use crate::{SimulationError, SimulationReport};
 use decision::{KernelHint, LocalRule};
 use obs::{Deadline, MetricsSink, NoopSink};
-use rand::counter::{threefry4x64_lanes, word_to_unit, CounterKey};
+use rand::counter::{half_to_unit, threefry4x64_lanes, CounterKey};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
 use std::time::Duration;
 
 /// Version of the per-batch RNG stream shape (see the
 /// [module docs](self) for the history).
-pub const RNG_STREAM_VERSION: u32 = 5;
+pub const RNG_STREAM_VERSION: u32 = 6;
 
 /// Default trials per batch; shared with the instrumented
 /// [`load_stats`](crate::load_stats) loop so its stream stays
@@ -893,17 +923,20 @@ pub(crate) fn lane_key(seed: u64) -> CounterKey {
 /// only — which is what makes chaos re-execution and coordinator
 /// reclaim bit-identical.
 ///
-/// Trial `t`'s uniform `(kind, p)` is word `p mod 4` of the Threefry
-/// block at counter `[batch, t, kind · 2³² + p / 4,
-/// LANE_STREAM_DOMAIN]` ([`lane_draw`] replays one). For each lane
-/// group and each player block `k`, the loop computes the input block
-/// for all `L` trials at once, plus the coin block only when the
-/// kernel reads coins ([`Kernel::USES_COINS`]) and the fault block
-/// only when `p_crash > 0` — so e.g. a threshold rule's crash-free
-/// run evaluates one block per four players. The
-/// block's words are converted and folded into the bin sums of its
-/// (at most four) players right away: no uniform is stored, no row
-/// is copied, and the batch allocates nothing.
+/// Trial `t`'s uniform `(kind, p)` is half `p mod 2` (`0` = high 32
+/// bits) of word `(p mod 8) / 2` of the Threefry block at counter
+/// `[batch, t, kind · 2³² + p / 8, LANE_STREAM_DOMAIN]` ([`lane_draw`]
+/// replays one). For each lane group and each player block `k`, the
+/// loop computes the input block for all `L` trials at once, plus the
+/// coin block only when the kernel reads coins
+/// ([`Kernel::USES_COINS`]) and the fault block only when
+/// `p_crash > 0` — so e.g. a threshold rule's crash-free run evaluates
+/// one block per eight players. Each word's two halves are converted
+/// ([`half_to_unit`]) and folded into the bin sums of their players
+/// right away, high half first: no uniform is stored, no row is
+/// copied, and the batch allocates nothing. The half index is a
+/// constant of the unrolled inner loop, so each conversion is a fixed
+/// shift, mask and subtraction.
 ///
 /// The fold is branch-free per player: the decision and the crash
 /// outcome become `{0.0, 1.0}` masks and both bin sums accumulate
@@ -932,7 +965,7 @@ fn run_lane_batch<K: Kernel, const L: usize>(
     let draw_fault = params.p_crash > 0.0;
     let per_player = if draw_fault { 3 } else { 2 };
     let planes = 1 + u64::from(K::USES_COINS) + u64::from(draw_fault);
-    let blocks = n.div_ceil(4);
+    let blocks = n.div_ceil(DRAWS_PER_BLOCK);
     let mut wins = 0u64;
     let mut trial0 = 0u64;
     while trial0 < count {
@@ -954,33 +987,45 @@ fn run_lane_batch<K: Kernel, const L: usize>(
             } else {
                 [[0; L]; 4]
             };
-            let first = 4 * k;
-            let words = (n - first).min(4);
+            let first = DRAWS_PER_BLOCK * k;
+            let players = (n - first).min(DRAWS_PER_BLOCK);
             if draw_fault {
                 ctr[2] = plane(DrawKind::Fault);
                 let faults = threefry4x64_lanes::<L>(&key, &ctr);
-                for w in 0..words {
-                    for j in 0..L {
-                        let input = word_to_unit(inputs[w][j]);
-                        let coin = word_to_unit(coins[w][j]);
-                        let fault = word_to_unit(faults[w][j]);
-                        let live = f64::from(u8::from(fault >= params.p_crash));
-                        let zero =
-                            f64::from(u8::from(kernel.sends_to_zero(first + w, input, coin)))
-                                * live;
-                        sum0[j] += zero * input;
-                        sum1[j] += (live - zero) * input;
+                for w in 0..players.div_ceil(2) {
+                    for half in 0..2 {
+                        let q = 2 * w + half;
+                        if q == players {
+                            break;
+                        }
+                        for j in 0..L {
+                            let input = half_to_unit(inputs[w][j], half);
+                            let coin = half_to_unit(coins[w][j], half);
+                            let fault = half_to_unit(faults[w][j], half);
+                            let live = f64::from(u8::from(fault >= params.p_crash));
+                            let zero =
+                                f64::from(u8::from(kernel.sends_to_zero(first + q, input, coin)))
+                                    * live;
+                            sum0[j] += zero * input;
+                            sum1[j] += (live - zero) * input;
+                        }
                     }
                 }
             } else {
-                for w in 0..words {
-                    for j in 0..L {
-                        let input = word_to_unit(inputs[w][j]);
-                        let coin = word_to_unit(coins[w][j]);
-                        let zero =
-                            f64::from(u8::from(kernel.sends_to_zero(first + w, input, coin)));
-                        sum0[j] += zero * input;
-                        sum1[j] += (1.0 - zero) * input;
+                for w in 0..players.div_ceil(2) {
+                    for half in 0..2 {
+                        let q = 2 * w + half;
+                        if q == players {
+                            break;
+                        }
+                        for j in 0..L {
+                            let input = half_to_unit(inputs[w][j], half);
+                            let coin = half_to_unit(coins[w][j], half);
+                            let zero =
+                                f64::from(u8::from(kernel.sends_to_zero(first + q, input, coin)));
+                            sum0[j] += zero * input;
+                            sum1[j] += (1.0 - zero) * input;
+                        }
                     }
                 }
             }
@@ -1023,9 +1068,9 @@ mod tests {
     #[test]
     fn stream_version_is_pinned() {
         // Bump deliberately (with the module-docs history updated)
-        // whenever a stream-critical fn changes (v5: every rule on
-        // the lane kernel, no sequential stream).
-        assert_eq!(RNG_STREAM_VERSION, 5);
+        // whenever a stream-critical fn changes (v6: two 32-bit
+        // uniforms per Threefry word, eight draws per block).
+        assert_eq!(RNG_STREAM_VERSION, 6);
     }
 
     #[test]
@@ -1228,21 +1273,24 @@ mod tests {
     #[test]
     fn lane_batches_match_a_branchy_scalar_replay() {
         // The fused lane loop — blocks consumed in registers, masks
-        // instead of branches — must count exactly the wins of the
-        // scalar replay at every width (W1 and W8 against the
-        // engine's W16), for both hinted kernels and the opaque
-        // fallback, with and without crashes. Five players leave the
-        // second block of every plane partly unused; 237 trials in
-        // batches of 160 leave a 77-trial tail batch, a multiple of
-        // neither 8 nor 16.
+        // instead of branches, two draws per word — must count
+        // exactly the wins of the scalar replay at every width (W1
+        // and W8 against the engine's W16), for both hinted kernels
+        // and the opaque fallback, with and without crashes. The
+        // player counts cover an unused low half (5, 7, 9, 17), a
+        // full block (8, 16) and the first players of a second or
+        // third block (9, 17); 237 trials in batches of 160 leave a
+        // 77-trial tail batch, a multiple of neither 8 nor 16.
         fn check<K: Kernel, const L: usize>(kernel: &K, params: TrialParams) -> u64 {
             let mut wins = 0;
             for batch in 0..params.trials.div_ceil(params.batch_size) {
                 let lane = run_lane_batch::<K, L>(kernel, params, batch).wins;
                 let replay = replay_lane_batch(kernel, params, batch);
                 assert_eq!(
-                    lane, replay,
-                    "L={L} batch {batch} p_crash {}",
+                    lane,
+                    replay,
+                    "L={L} n={} batch {batch} p_crash {}",
+                    kernel.players(),
                     params.p_crash
                 );
                 wins += lane;
@@ -1256,26 +1304,34 @@ mod tests {
             // Neither all nor nothing: the comparison has teeth.
             assert!(0 < wins && wins < params.trials, "wins {wins}");
         }
-        let threshold = ThresholdKernel::new(vec![0.55, 0.7, 0.4, 0.62, 0.9]);
-        let oblivious = ObliviousKernel::new(vec![0.5, 0.3, 0.8, 0.45, 0.6]);
         // Bin 0 on [0, 1/4] ∪ [3/4, 1]: no threshold or coin shape.
         let middle_out = BinZeroSet::new(vec![
             (Rational::zero(), Rational::ratio(1, 4)),
             (Rational::ratio(3, 4), Rational::one()),
         ])
         .unwrap();
-        let general = GeneralRule::new(vec![middle_out; 5]).unwrap();
-        for p_crash in [0.0, 0.3] {
-            let params = TrialParams {
-                seed: 17,
-                trials: 237,
-                batch_size: 160,
-                delta: 5.0 / 3.0,
-                p_crash,
+        for n in [5usize, 7, 8, 9, 16, 17] {
+            // Per-player parameters that differ, so a player read
+            // from the wrong slot changes decisions.
+            let spread = |lo: f64, step: f64| -> Vec<f64> {
+                (0..n).map(|p| lo + step * ((p * 7) % 11) as f64).collect()
             };
-            all_widths(&threshold, params);
-            all_widths(&oblivious, params);
-            all_widths(&GenericKernel(&general), params);
+            let threshold = ThresholdKernel::new(spread(0.35, 0.05));
+            let oblivious = ObliviousKernel::new(spread(0.25, 0.05));
+            let general = GeneralRule::new(vec![middle_out.clone(); n]).unwrap();
+            for p_crash in [0.0, 0.3] {
+                let params = TrialParams {
+                    seed: 17,
+                    trials: 237,
+                    batch_size: 160,
+                    // About a third of the players fit each bin.
+                    delta: n as f64 / 3.0,
+                    p_crash,
+                };
+                all_widths(&threshold, params);
+                all_widths(&oblivious, params);
+                all_widths(&GenericKernel(&general), params);
+            }
         }
     }
 

@@ -20,10 +20,10 @@
 //! there is no uniform buffer. Each draw is a pure function of its
 //! coordinates, so every lane width produces bit-identical results
 //! by construction, and [`lane_draw`] replays any single draw (see
-//! the engine module docs, stream versions v3–v5).
+//! the engine module docs, stream versions v3–v6).
 
 use decision::{Bin, LocalRule};
-use rand::counter::{threefry4x64, word_to_unit, CounterKey};
+use rand::counter::{half_to_unit, threefry4x64, CounterKey};
 
 /// The hot-loop view of a decision rule. Implementations must be
 /// pure: `sends_to_zero` may depend only on its arguments and the
@@ -124,12 +124,14 @@ impl<R: LocalRule + ?Sized> Kernel for GenericKernel<'_, R> {
 /// with counters another subsystem might derive from the same key.
 pub(crate) const LANE_STREAM_DOMAIN: u64 = 0x6e6f_636f_6d6d_2d33;
 
-/// The role a uniform plays in one trial. Stream v3 addresses draws
+/// The role a uniform plays in one trial. The stream addresses draws
 /// by `(kind, player)` rather than by a flat per-trial index: each
 /// kind occupies its own **plane** of counter blocks, so a kernel
 /// that never reads a kind (thresholds ignore coins; crash-free runs
 /// draw no fault coins) skips generating that plane outright instead
-/// of computing and discarding it.
+/// of computing and discarding it. Planes also keep common random
+/// numbers across rules: runs of different rules with one seed read
+/// the same input plane, whatever else they draw.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum DrawKind {
     /// The player's private input value (always consumed: payoffs
@@ -147,16 +149,21 @@ pub(crate) enum DrawKind {
 /// collide.
 pub(crate) const KIND_SHIFT: u32 = 32;
 
-/// Scalar stream-v3 replay: uniform `(kind, player)` of trial `trial`
+/// Uniforms per Threefry block and plane (stream v6): four 64-bit
+/// words, two 32-bit halves each ([`half_to_unit`]).
+pub(crate) const DRAWS_PER_BLOCK: usize = 8;
+
+/// Scalar stream replay: uniform `(kind, player)` of trial `trial`
 /// in batch `batch`.
 ///
-/// Uniform `(kind, p)` of trial `t` is word `p mod 4` of the block at
-/// counter `[batch, t, kind · 2³² + p / 4, LANE_STREAM_DOMAIN]` — a
-/// pure function of the key and the draw's own coordinates, so this
-/// is bit-identical to what the engine's lane loop reads for trial
-/// `t` at any lane width. This is what `load_stats` and the
-/// invariance tests rebuild engine streams from — one block per call,
-/// so it is replay-grade, not hot-loop-grade.
+/// Uniform `(kind, p)` of trial `t` is half `p mod 2` (`0` = high 32
+/// bits) of word `(p mod 8) / 2` of the block at counter
+/// `[batch, t, kind · 2³² + p / 8, LANE_STREAM_DOMAIN]` — a pure
+/// function of the key and the draw's own coordinates, so this is
+/// bit-identical to what the engine's lane loop reads for trial `t`
+/// at any lane width. This is what `load_stats` and the invariance
+/// tests rebuild engine streams from — one block per call, so it is
+/// replay-grade, not hot-loop-grade.
 pub(crate) fn lane_draw(
     key: &CounterKey,
     batch: u64,
@@ -164,9 +171,10 @@ pub(crate) fn lane_draw(
     kind: DrawKind,
     player: usize,
 ) -> f64 {
-    let word2 = ((kind as u64) << KIND_SHIFT) | (player / 4) as u64;
+    let word2 = ((kind as u64) << KIND_SHIFT) | (player / DRAWS_PER_BLOCK) as u64;
     let block = threefry4x64(key, [batch, trial, word2, LANE_STREAM_DOMAIN]);
-    word_to_unit(block[player % 4])
+    let slot = player % DRAWS_PER_BLOCK;
+    half_to_unit(block[slot / 2], slot % 2)
 }
 
 #[cfg(test)]

@@ -76,8 +76,10 @@ pub mod keys {
     /// Lane blocks evaluated by the lane kernel (counter). One count
     /// is one `L`-wide lane block — a single `threefry4x64_lanes::<L>`
     /// call, i.e. `L` scalar Threefry-4×64 blocks, one per trial of
-    /// the lane group — yielding four uniforms per lane. Multiply by
-    /// the lane width for scalar-block work.
+    /// the lane group — yielding eight uniforms per lane (two per
+    /// 64-bit word, stream v6). A run evaluates
+    /// `⌈trials_per_batch / L⌉ × ⌈n / 8⌉ × planes` of them per batch.
+    /// Multiply by the lane width for scalar-block work.
     pub const RNG_LANE_BLOCKS: &str = "rng.lane_blocks";
     /// Jobs executed by pool workers (counter).
     pub const POOL_JOBS: &str = "pool.jobs";

@@ -116,3 +116,36 @@ proptest! {
         }
     }
 }
+
+#[test]
+fn multi_block_dispatch_paths_agree() {
+    // Eight draws share a Threefry block, so these player counts
+    // leave an unused low half (7, 9, 17), fill a block exactly
+    // (8, 16), or start a second or third block (9, 17). Per-player
+    // parameters differ, so a draw read from the wrong slot changes
+    // a decision on one path and not the other.
+    for n in [7usize, 8, 9, 16, 17] {
+        let spread = |lo: i64| -> Vec<Rational> {
+            (0..n as i64)
+                .map(|p| Rational::ratio(lo + (p * 7) % 11, 32))
+                .collect()
+        };
+        let threshold = SingleThresholdAlgorithm::new(spread(11)).unwrap();
+        let oblivious = ObliviousAlgorithm::new(spread(8)).unwrap();
+        let delta = n as f64 / 3.0;
+        for threads in [1usize, 3] {
+            let sim = Simulation::new(6_000, 40 + n as u64)
+                .with_threads(threads)
+                .with_batch_size(1_000);
+            for p_crash in [0.0, 0.3] {
+                assert_paths_agree(&threshold, &sim, delta, p_crash);
+                assert_paths_agree(&oblivious, &sim, delta, p_crash);
+            }
+            let report = sim.run(&threshold, delta);
+            assert!(
+                0 < report.wins && report.wins < report.trials,
+                "n {n}: {report}"
+            );
+        }
+    }
+}

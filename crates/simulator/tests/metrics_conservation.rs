@@ -32,24 +32,27 @@ fn unit_rational() -> impl Strategy<Value = Rational> {
     (0i64..=16, 16i64..=16).prop_map(|(num, den)| Rational::ratio(num, den))
 }
 
+// Up to 19 players, so the lane-block law runs over one, two and
+// three blocks per plane (eight players per block).
 fn oblivious_rule() -> impl Strategy<Value = ObliviousAlgorithm> {
-    proptest::collection::vec(unit_rational(), 2..6)
+    proptest::collection::vec(unit_rational(), 2..20)
         .prop_map(|alpha| ObliviousAlgorithm::new(alpha).unwrap())
 }
 
 fn threshold_rule() -> impl Strategy<Value = SingleThresholdAlgorithm> {
-    proptest::collection::vec(unit_rational(), 2..6)
+    proptest::collection::vec(unit_rational(), 2..20)
         .prop_map(|thresholds| SingleThresholdAlgorithm::new(thresholds).unwrap())
 }
 
 /// The exact number of Threefry counter blocks the lane path (width
 /// `lanes`) evaluates: each lane group covers `lanes` trials and
-/// fills `⌈n / 4⌉` four-word blocks per generated draw plane (tail
+/// fills `⌈n / 8⌉` blocks per generated draw plane — four words, two
+/// draws per word (tail
 /// groups still fill full planes; tail lanes are compute, not
 /// stream). `planes` counts only what the run consumes — inputs
 /// always, coins when the kernel reads them, fault coins when drawn.
 fn expected_lane_blocks(trials: u64, batch_size: u64, n: u64, planes: u64, lanes: u64) -> u64 {
-    let blocks_per_group = n.div_ceil(4) * planes;
+    let blocks_per_group = n.div_ceil(8) * planes;
     let batches = trials.div_ceil(batch_size);
     (0..batches)
         .map(|batch| {

@@ -72,7 +72,8 @@ pub fn irwin_hall_pdf_in<S: Scalar>(m: u32, t: &S) -> S {
 /// Terms are folded through [`Scalar::accumulate`], so the `f64`
 /// instantiation gets Neumaier-compensated summation — together with
 /// the callers' midpoint reflection this keeps the cancellation error
-/// inside `contracts::tolerances::PROB_EPS` up to `m = 32`.
+/// inside `contracts::tolerances::PROB_EPS` up to `m = 39`
+/// (`<f64 as Scalar>::MAX_IRWIN_HALL_ORDER`).
 fn signed_shift_sum<S: Scalar>(m: u32, t: &S, power: u32) -> S {
     let mut acc = S::zero();
     let mut carry = S::zero();
@@ -220,6 +221,26 @@ mod tests {
                     "m={m}, t={t}: float {float} vs exact {exact}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn float_cdf_stays_within_tolerance_at_its_order_limit() {
+        // `<f64 as Scalar>::MAX_IRWIN_HALL_ORDER` is the largest order
+        // whose worst cancellation error stays within PROB_EPS. The
+        // worst points sit just below t = m/2; the grid is not dyadic,
+        // because dyadic points make the power terms nearly exact and
+        // hide the error.
+        let m = <f64 as Scalar>::MAX_IRWIN_HALL_ORDER;
+        let half = f64::from(m) / 2.0;
+        for j in 0..=48 {
+            let t = half - f64::from(j) / 97.0;
+            let exact = irwin_hall_cdf(m, &Rational::from_f64_exact(t).unwrap()).to_f64();
+            let float = irwin_hall_cdf_f64(m, t);
+            assert!(
+                (float - exact).abs() <= contracts::tolerances::PROB_EPS,
+                "m={m}, t={t}: float {float} vs exact {exact}"
+            );
         }
     }
 

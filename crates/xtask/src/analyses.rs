@@ -433,7 +433,7 @@ fn is_hot_path(f: &FnView<'_>) -> bool {
     f.item.name == "run_lane_batch"
         || matches!(
             f.item.name.as_str(),
-            "threefry4x64_lanes" | "threefry4x64" | "word_to_unit" | "lane_draw"
+            "threefry4x64_lanes" | "threefry4x64" | "half_to_unit" | "lane_draw"
         )
         || (!f.is_free && matches!(f.item.name.as_str(), "decide" | "players" | "sends_to_zero"))
 }

@@ -10,7 +10,7 @@ fn run_lane_batch<K: Kernel, const L: usize>(kernel: &K, count: u64) -> Vec<u64>
 fn lane_draw(key: &CounterKey, trial: u64) -> f64 {
     let staged = key.clone();
     let scratch = vec![0u64; 4];
-    word_to_unit(staged.mix(trial) ^ scratch[0])
+    half_to_unit(staged.mix(trial) ^ scratch[0], 0)
 }
 
 impl ThresholdKernel {
