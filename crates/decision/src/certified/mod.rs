@@ -43,7 +43,7 @@ pub use table::{ThresholdRow, ThresholdTable, SCHEMA};
 use crate::{symmetric, Capacity};
 use polynomial::{Interval, Polynomial, SturmChain};
 use rational::{Ball, Rational, Scalar};
-use spline::{clamp_unit, ih_eval};
+use spline::ih_eval;
 use std::fmt;
 
 /// Largest `n` routed to the exact rational path; beyond it the
@@ -243,7 +243,7 @@ impl Evaluator {
             }
         }
         PEval {
-            p: clamp_unit(p),
+            p: p.clamp_unit(),
             dp: if exact_dp { dp } else { Ball::ENTIRE },
             ddp: if exact_dp { ddp } else { Ball::ENTIRE },
         }
@@ -262,7 +262,7 @@ impl Evaluator {
         let mut val = vec![Ball::one(); n + 1];
         if beta.lo() <= 0.0 {
             let unit = Ball::new(0.0, 1.0);
-            let beta_pow = powers(clamp_unit(beta), n);
+            let beta_pow = powers(beta.clamp_unit(), n);
             for k in 1..=n {
                 val[k] = beta_pow[k] * unit;
             }
@@ -314,7 +314,7 @@ impl Evaluator {
         val[0] = Ball::one();
         if gamma.lo() <= 0.0 {
             let unit = Ball::new(0.0, 1.0);
-            let gamma_pow = powers(clamp_unit(gamma), n);
+            let gamma_pow = powers(gamma.clamp_unit(), n);
             for m in 1..=n {
                 val[m] = if 3 * m <= n {
                     // δ ≥ m: the bin-1 sum always fits, F_m(v) = 1.

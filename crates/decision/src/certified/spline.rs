@@ -1,40 +1,33 @@
-//! Cancellation-free Irwin–Hall enclosures via the cardinal B-spline
-//! recurrence.
+//! Certified Irwin–Hall enclosures over wide arguments, from the
+//! shared cancellation-free B-spline row.
 //!
 //! The alternating closed form of Corollary 2.6 is hopeless for
 //! certified arithmetic at large `m`: its condition number reaches
 //! `~5e33` at `m = 128`, so even perfect interval arithmetic around it
-//! returns enclosures wider than `[0, 1]`. The certified evaluator
-//! therefore uses a different, *positive* formulation: the Irwin–Hall
-//! density of `m` standard uniforms is the cardinal B-spline `N_m`,
-//! and the CDF telescopes into a B-spline sum,
+//! returns enclosures wider than `[0, 1]`. The workspace's one
+//! evaluator for rounding scalars, [`uniform_sums::irwin_hall_row`],
+//! uses the *positive* formulation instead — the Irwin–Hall density of
+//! `m` uniforms is the cardinal B-spline `N_m`, the CDF is
+//! `F_m(t) = Σ_{j ≥ 0} N_{m+1}(t − j)`, and the Cox–de Boor recurrence
+//! combines non-negative values with non-negative weights — so
+//! [`Ball`] widths stay near the ulp scale even at `m = 256`, and the
+//! same row in `f64` stays within a few ulps of the exact CDF up to
+//! `m = 128`.
 //!
-//! ```text
-//! f_m(t) = N_m(t),        F_m(t) = Σ_{j ≥ 0} N_{m+1}(t − j),
-//! ```
-//!
-//! where the Cox–de Boor recurrence
-//!
-//! ```text
-//! N_k(t) = ( t · N_{k−1}(t) + (k − t) · N_{k−1}(t − 1) ) / (k − 1)
-//! ```
-//!
-//! combines non-negative quantities with non-negative weights: no
-//! subtraction ever occurs, so [`Ball`] widths stay near the ulp scale
-//! even at `m = 256`.
-//!
-//! The recurrence is run only at *point* arguments. Feeding a wide
-//! ball through it directly would be sound but useless: an argument
-//! straddling an integer knot widens two adjacent base indicators to
-//! `[0, 1]` independently, the partition of unity `Σ_j N_1(t−j) = 1`
-//! is lost, and the CDF enclosure inflates to width ≈ 1 at *every*
-//! order. [`ih_eval`] instead evaluates the two endpoint triangles
-//! and reassembles interval answers from monotonicity (the CDF is
-//! nondecreasing in `t`) and a Lipschitz bound (`|N_m'| ≤ 1` for
-//! `m ≥ 2`, since `N_m' (t) = N_{m−1}(t) − N_{m−1}(t−1)` and
-//! `0 ≤ N ≤ 1`), which stays tight across knots.
+//! This module runs that row at *point* arguments only. Feeding a
+//! wide ball through it directly is sound but loose: every step uses
+//! the argument twice (`u` and `k − u`), interval arithmetic treats
+//! the two as independent, and the width compounds with the order.
+//! [`ih_eval`] instead evaluates the two
+//! endpoint rows and reassembles interval answers from monotonicity
+//! (the CDF is nondecreasing in `t`) and a Lipschitz bound
+//! (`|N_m'| ≤ 1` for `m ≥ 2`, since
+//! `N_m' (t) = N_{m−1}(t) − N_{m−1}(t−1)` and `0 ≤ N ≤ 1`), which
+//! stays tight across knots; it also extracts the density and density
+//! derivative enclosures the certified `P''` bounds need.
 
 use rational::{Ball, Scalar};
+use uniform_sums::irwin_hall_row;
 
 /// Irwin–Hall CDF, density, and density-derivative enclosures for
 /// every order `0..=n` at a common evaluation argument.
@@ -53,23 +46,6 @@ pub(crate) struct IhTriangle {
     pub(crate) dpdf: Vec<Ball>,
 }
 
-/// Intersects an enclosure with `[0, 1]`, the range every Irwin–Hall
-/// CDF and density value lives in (`sup f_m ≤ 1`: convolving any
-/// density bounded by 1 with a unit uniform keeps the bound).
-///
-/// Intersection with a known-true range is sound and stops width
-/// growth from compounding through the recurrence.
-pub(crate) fn clamp_unit(b: Ball) -> Ball {
-    if b.hi() < 0.0 || b.lo() > 1.0 {
-        // An enclosure of a true value in [0, 1] always meets [0, 1];
-        // an empty intersection can only mean the caller's argument
-        // was out of contract, so pass the ball through unchanged
-        // rather than fabricate one.
-        return b;
-    }
-    Ball::new(b.lo().max(0.0), b.hi().min(1.0))
-}
-
 /// Intersects an enclosure with `[−1, 1]`, the range of every
 /// B-spline density derivative (`|N_m'| ≤ 1` since
 /// `N_m' = N_{m−1}(t) − N_{m−1}(t−1)` and `0 ≤ N ≤ 1`).
@@ -78,18 +54,6 @@ fn clamp_sym(b: Ball) -> Ball {
         return b;
     }
     Ball::new(b.lo().max(-1.0), b.hi().min(1.0))
-}
-
-/// The order-1 base row entry: an enclosure of the half-open
-/// indicator `N_1(u) = [0 ≤ u < 1]` over every point of `u`.
-fn base_indicator(u: Ball) -> Ball {
-    if u.lo() >= 0.0 && u.hi() < 1.0 {
-        Ball::one()
-    } else if u.hi() < 0.0 || u.lo() >= 1.0 {
-        Ball::zero()
-    } else {
-        Ball::new(0.0, 1.0)
-    }
 }
 
 /// Enclosures of `F_m` and `f_m` for all `m = 0..=n` over a
@@ -146,8 +110,8 @@ pub(crate) fn ih_eval(n: u32, x: Ball) -> IhTriangle {
                 };
                 Ball::new(lo, hi)
             }
-            2 => clamp_unit(lo_t.pdf[2].hull(&hi_t.pdf[2]) + tent),
-            _ => clamp_unit(lo_t.pdf[m].hull(&hi_t.pdf[m]) + curve),
+            2 => (lo_t.pdf[2].hull(&hi_t.pdf[2]) + tent).clamp_unit(),
+            _ => (lo_t.pdf[m].hull(&hi_t.pdf[m]) + curve).clamp_unit(),
         });
         dpdf.push(match m {
             0 => Ball::zero(),
@@ -168,7 +132,9 @@ pub(crate) fn ih_eval(n: u32, x: Ball) -> IhTriangle {
 }
 
 /// One Cox–de Boor triangle at the point argument `x ≥ 0`: enclosures
-/// of `F_m(x)` for `m = 0..=n` and `f_m(x)` for `m = 1..=n`.
+/// of `F_m(x)` for `m = 0..=n` and `f_m(x)` for `m = 1..=n`, extracted
+/// from the shared [`irwin_hall_row`] and intersected with their known
+/// ranges.
 ///
 /// An argument at or beyond `n` is answered by the saturation
 /// early-out (`F_m = 1`, `f_m = 0` for `x ≥ m`); a non-finite
@@ -176,77 +142,34 @@ pub(crate) fn ih_eval(n: u32, x: Ball) -> IhTriangle {
 /// exactly on a knot takes the half-open indicator branch, which is
 /// the right-continuous (true CDF) value.
 fn ih_point(n: u32, x: f64) -> IhTriangle {
-    let n = n as usize;
+    let len = n as usize + 1;
     if !x.is_finite() {
         let wide = Ball::new(0.0, 1.0);
         return IhTriangle {
-            cdf: vec![wide; n + 1],
-            pdf: vec![wide; n + 1],
-            dpdf: vec![Ball::ENTIRE; n + 1],
+            cdf: vec![wide; len],
+            pdf: vec![wide; len],
+            dpdf: vec![Ball::ENTIRE; len],
         };
     }
-    if x >= n as f64 {
+    if x >= f64::from(n) {
         // Saturated: every order m ≤ n has all its mass below x.
         return IhTriangle {
-            cdf: vec![Ball::one(); n + 1],
-            pdf: vec![Ball::zero(); n + 1],
-            dpdf: vec![Ball::zero(); n + 1],
+            cdf: vec![Ball::one(); len],
+            pdf: vec![Ball::zero(); len],
+            dpdf: vec![Ball::zero(); len],
         };
     }
-    // f_1' vanishes off the knots {0, 1} (N_1 is flat on either side)
-    // and is distributional exactly on them.
-    let dpdf_1 = if x == 0.0 || x == 1.0 {
-        Ball::ENTIRE
-    } else {
-        Ball::zero()
-    };
-    let x = Ball::point(x);
-
-    // Shift indices j = 0..=jmax cover every integer with x − j ≥ 0;
-    // shifts beyond the support contribute exactly zero.
-    #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-    let jmax = (x.hi().floor() as usize).min(n);
-    let mut cdf = vec![Ball::zero(); n + 1];
-    let mut pdf = vec![Ball::zero(); n + 1];
-    let mut dpdf = vec![Ball::zero(); n + 1];
-    if n >= 1 {
-        dpdf[1] = dpdf_1;
+    let row = irwin_hall_row(n, &Ball::point(x));
+    let mut dpdf: Vec<Ball> = row.dpdf.into_iter().map(clamp_sym).collect();
+    if n >= 1 && (x == 0.0 || x == 1.0) {
+        // f_1' is distributional exactly on its knots {0, 1}.
+        dpdf[1] = Ball::ENTIRE;
     }
-
-    // Order 1: row[j] = N_1(x − j).
-    let mut row: Vec<Ball> = (0..=jmax)
-        .map(|j| base_indicator(x - Ball::from_i64(j as i64)))
-        .collect();
-    // F_0(x) = Σ_j N_1(x − j) = 1 for x ≥ 0 — summed rather than
-    // hard-coded so the code keeps working for wide bases too.
-    cdf[0] = clamp_unit(row.iter().copied().fold(Ball::zero(), |a, b| a + b));
-    if n >= 1 {
-        pdf[1] = clamp_unit(row[0]);
+    IhTriangle {
+        cdf: row.cdf,
+        pdf: row.pdf,
+        dpdf,
     }
-
-    let mut next = vec![Ball::zero(); jmax + 1];
-    for ord in 2..=n + 1 {
-        // While `row` holds order `ord − 1`: the density derivative
-        // of order `ord` is the backward difference of that row.
-        if ord <= n {
-            let shifted = if jmax >= 1 { row[1] } else { Ball::zero() };
-            dpdf[ord] = clamp_sym(row[0] - shifted);
-        }
-        let ord_ball = Ball::from_i64(ord as i64);
-        let norm = Ball::from_i64(ord as i64 - 1);
-        for j in 0..=jmax {
-            let u = x - Ball::from_i64(j as i64);
-            let right = if j < jmax { row[j + 1] } else { Ball::zero() };
-            next[j] = clamp_unit((u * row[j] + (ord_ball - u) * right) / norm);
-        }
-        std::mem::swap(&mut row, &mut next);
-        // Order `ord` row: density of order `ord`, CDF of order `ord − 1`.
-        if ord <= n {
-            pdf[ord] = clamp_unit(row[0]);
-        }
-        cdf[ord - 1] = clamp_unit(row.iter().copied().fold(Ball::zero(), |a, b| a + b));
-    }
-    IhTriangle { cdf, pdf, dpdf }
 }
 
 #[cfg(test)]

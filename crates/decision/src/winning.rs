@@ -8,10 +8,19 @@
 //! generic cores take a [`EvalContext`] so sweeps and optimizers can
 //! reuse the per-`(n, δ)` Irwin–Hall tables and binomial rows across
 //! evaluations.
+//!
+//! The symmetric closed forms have no player cap of their own: in
+//! `f64` and `Ball` their Irwin–Hall factors come from the positive
+//! B-spline recurrence ([`uniform_sums::irwin_hall_row`]), accurate
+//! to a few ulps at every order measured (up to 128), and in
+//! `Rational` from the exact alternating sum. Callers bound the work
+//! (the query daemon refuses more than 128 players).
 
 use crate::{Capacity, ModelError, ObliviousAlgorithm, SingleThresholdAlgorithm};
 use rational::{Rational, Scalar};
-use uniform_sums::{box_sum_cdf_in, irwin_hall_cdf_in, shifted_box_sum_cdf_in, EvalContext};
+use uniform_sums::{
+    box_sum_cdf_in, irwin_hall_cdf_in, irwin_hall_cdf_row, shifted_box_sum_cdf_in, EvalContext,
+};
 
 /// Largest player count for which the `2^n` enumeration over decision
 /// vectors is attempted.
@@ -25,21 +34,6 @@ pub(crate) const MAX_EXACT_PLAYERS: usize = 22;
 /// Capping at 14 keeps every served asymmetric `pwin` in the tens of
 /// milliseconds.
 pub const MAX_EXACT_THRESHOLD_PLAYERS: usize = 14;
-
-/// The symmetric closed forms evaluate Irwin–Hall CDFs of every order
-/// up to `n`; past the instantiation's
-/// [`Scalar::MAX_IRWIN_HALL_ORDER`] (39 in `f64`, 158 in `Ball`) their
-/// answers would be wrong — in `f64` by more than
-/// `contracts::tolerances::PROB_EPS`, with Irwin–Hall errors of 0.1 to
-/// 0.8 by n = 88..=94, and in `Ball` infinite — so such an `n` is
-/// refused up front.
-fn check_irwin_hall_order<S: Scalar>(n: usize) -> Result<(), ModelError> {
-    let max = usize::try_from(S::MAX_IRWIN_HALL_ORDER).unwrap_or(usize::MAX);
-    if n > max {
-        return Err(ModelError::TooManyPlayersForExact { n, max });
-    }
-    Ok(())
-}
 
 /// Winning probability of an oblivious algorithm (Theorem 4.1), in
 /// any [`Scalar`] instantiation:
@@ -59,8 +53,7 @@ fn check_irwin_hall_order<S: Scalar>(n: usize) -> Result<(), ModelError> {
 ///
 /// Returns [`ModelError::TooFewPlayers`] for fewer than 2 players and
 /// [`ModelError::TooManyPlayersForExact`] if an asymmetric vector has
-/// more than 22 players or a symmetric one more than the
-/// instantiation's [`Scalar::MAX_IRWIN_HALL_ORDER`] (39 in `f64`).
+/// more than 22 players.
 pub fn winning_probability_oblivious_in<S: Scalar>(
     ctx: &mut EvalContext<S>,
     alpha: &[S],
@@ -77,7 +70,6 @@ pub fn winning_probability_oblivious_in<S: Scalar>(
             max: MAX_EXACT_PLAYERS,
         });
     }
-    check_irwin_hall_order::<S>(n)?;
     // Irwin-Hall CDF per possible bin size, served by the context.
     let ih = ctx.irwin_hall_cdf_table(n as u32, delta);
 
@@ -175,16 +167,17 @@ pub fn winning_probability_oblivious_f64(alpha: &[f64], delta: f64) -> Result<f6
 /// ([`box_sum_cdf_in`] and [`shifted_box_sum_cdf_in`]).
 ///
 /// The symmetric (all-equal) case collapses to a sum over bin sizes
-/// (`n + 1` terms); the asymmetric case enumerates all `2^n` decision
-/// vectors. Binomial weights are served by `ctx`.
+/// (`n + 1` terms): the bin-0 factors `F_k(δ/β)` share one argument
+/// and come from one Irwin–Hall row, the bin-1 factors take one
+/// evaluation per `k` (`O(n³)` work in `f64` at worst). The
+/// asymmetric case enumerates all `2^n` decision vectors. Binomial
+/// weights are served by `ctx`.
 ///
 /// # Errors
 ///
 /// Returns [`ModelError::TooFewPlayers`] for fewer than 2 players and
 /// [`ModelError::TooManyPlayersForExact`] if an asymmetric vector has
-/// more than [`MAX_EXACT_THRESHOLD_PLAYERS`] players or a symmetric
-/// one more than the instantiation's [`Scalar::MAX_IRWIN_HALL_ORDER`]
-/// (39 in `f64`).
+/// more than [`MAX_EXACT_THRESHOLD_PLAYERS`] players.
 pub fn winning_probability_threshold_in<S: Scalar>(
     ctx: &mut EvalContext<S>,
     thresholds: &[S],
@@ -204,11 +197,18 @@ pub fn winning_probability_threshold_in<S: Scalar>(
         // values in every instantiation — and turns the subset
         // enumeration into O(n) work per bin size, so symmetric
         // systems scale far past the asymmetric cap.
-        check_irwin_hall_order::<S>(n)?;
         let beta = &thresholds[0];
         let one_minus = S::one() - beta.clone();
+        // The bin-0 factors F_k(δ/β) share one argument, so one row
+        // serves every k. (At β = 0 only k = 0 has positive
+        // probability; its factor is 1 either way.)
+        let bin0 = if beta.is_zero() {
+            vec![S::one(); n + 1]
+        } else {
+            irwin_hall_cdf_row(n as u32, &(delta.clone() / beta.clone()))
+        };
         let mut total = S::zero();
-        for k in 0..=n {
+        for (k, f0) in bin0.into_iter().enumerate() {
             // k players in bin 0, n-k in bin 1.
             let ways = ctx.binomial(n as u32, k as u32);
             let mut prob = S::one();
@@ -218,18 +218,9 @@ pub fn winning_probability_threshold_in<S: Scalar>(
             for _ in k..n {
                 prob = prob * one_minus.clone();
             }
-            if prob.is_zero() {
-                continue;
-            }
-            // Non-zero `prob` guarantees β > 0 whenever bin 0 is
-            // occupied and β < 1 whenever bin 1 is, so both scale
-            // divisions below are sound.
-            let f0 = if k == 0 {
-                S::one()
-            } else {
-                irwin_hall_cdf_in(k as u32, &(delta.clone() / beta.clone()))
-            };
-            if f0.is_zero() {
+            // Non-zero `prob` guarantees β < 1 whenever bin 1 is
+            // occupied, so the scale division below is sound.
+            if prob.is_zero() || f0.is_zero() {
                 continue;
             }
             let f1 = if k == n {
@@ -343,11 +334,9 @@ fn joint_term_in<S: Scalar>(bin0: &[S], bin1: &[S], delta: &S) -> S {
 ///
 /// # Errors
 ///
-/// Returns [`ModelError`] on fewer than 2 players, on an asymmetric
-/// vector of more than [`MAX_EXACT_THRESHOLD_PLAYERS`] players, or on
-/// a symmetric one of more than 39, past which the closed form's
-/// `f64` error exceeds `contracts::tolerances::PROB_EPS`
-/// ([`Scalar::MAX_IRWIN_HALL_ORDER`]).
+/// Returns [`ModelError`] on fewer than 2 players or on an asymmetric
+/// vector of more than [`MAX_EXACT_THRESHOLD_PLAYERS`] players (the
+/// symmetric collapsed form has no such cap).
 // xtask:allow(no-twin-f64): instantiation wrapper over the generic core
 pub fn winning_probability_threshold_f64(
     thresholds: &[f64],
@@ -559,59 +548,48 @@ mod tests {
                 Err(ModelError::TooManyPlayersForExact { max: 14, .. })
             ));
         }
-        // The symmetric collapsed form has no enumeration cap (only
-        // the f64 Irwin–Hall order limit, 39).
-        assert!(winning_probability_threshold_in(&mut ctx, &[0.6; 39], &13.0).is_ok());
+        // The symmetric collapsed form has no enumeration cap.
+        let delta = 128.0 / 3.0;
+        assert!(winning_probability_threshold_in(&mut ctx, &[0.6; 128], &delta).is_ok());
     }
 
     #[test]
-    fn symmetric_float_evaluations_past_the_irwin_hall_limit_are_errors() {
-        // n = 200, β = 0.6, δ = n/3 used to come back as Ok(NaN): the
-        // Irwin–Hall power terms pass f64::MAX. And n = 100 came back
-        // wrong (or outside [0, 1]) long before that: f64 keeps the
-        // Irwin–Hall CDF within PROB_EPS only up to order 39.
-        let mut ctx = EvalContext::<f64>::new();
-        let refused = |n| Err(ModelError::TooManyPlayersForExact { n, max: 39 });
-        assert_eq!(
-            winning_probability_threshold_in(&mut ctx, &[0.6; 200], &(200.0 / 3.0)),
-            refused(200)
-        );
-        assert_eq!(
-            winning_probability_oblivious_in(&mut ctx, &[0.5; 200], &97.0),
-            refused(200)
-        );
-        assert_eq!(
-            winning_probability_threshold_in(&mut ctx, &[0.6; 100], &(100.0 / 3.0)),
-            refused(100)
-        );
-        // The limit is exact: 39 players evaluate, 40 do not.
-        assert!(winning_probability_threshold_in(&mut ctx, &[0.6; 39], &13.0).is_ok());
-        assert_eq!(
-            winning_probability_threshold_in(&mut ctx, &[0.6; 40], &1.0),
-            refused(40)
-        );
-        // `Ball` keeps its own, larger limit: its enclosures stay
-        // rigorous until the terms overflow.
+    fn symmetric_closed_forms_answer_up_to_128_players() {
+        // Past order 39 the alternating Irwin–Hall sum left PROB_EPS in
+        // f64, and at n = 200 its power terms overflowed into NaN; the
+        // positive recurrence answers every order. The f64 value must
+        // sit inside the Ball enclosure of the same closed form.
+        let mut floats = EvalContext::<f64>::new();
         let mut balls = EvalContext::<rational::Ball>::new();
-        let beta = rational::Ball::from_ratio(3, 5);
-        let mut at = |n: usize| {
-            winning_probability_threshold_in(
+        for n in [40usize, 64, 100, 128, 200] {
+            let delta = n as f64 / 3.0;
+            let float = winning_probability_threshold_in(&mut floats, &vec![0.6; n], &delta)
+                .expect("symmetric threshold");
+            let ball = winning_probability_threshold_in(
                 &mut balls,
-                &vec![beta; n],
-                &rational::Ball::from_ratio(1, 1),
+                &vec![rational::Ball::point(0.6); n],
+                &rational::Ball::point(delta),
             )
-        };
-        assert!(at(158).is_ok());
-        assert_eq!(
-            at(159).map(|_| ()),
-            Err(ModelError::TooManyPlayersForExact { n: 159, max: 158 })
-        );
-        // The exact instantiation has no limit.
+            .expect("symmetric threshold enclosure");
+            let eps = contracts::tolerances::PROB_EPS;
+            assert!(ball.width() < 1e-12, "n = {n}: enclosure {ball:?}");
+            assert!(
+                ball.lo() - eps <= float && float <= ball.hi() + eps,
+                "n = {n}: {float} outside {ball:?}"
+            );
+            let oblivious =
+                winning_probability_oblivious_in(&mut floats, &vec![0.5; n], &delta).unwrap();
+            assert!((0.0..=1.0).contains(&oblivious), "n = {n}: {oblivious}");
+        }
+        // The exact instantiation agrees at a size it can afford.
         let exact = winning_probability_threshold_in(
             &mut EvalContext::<Rational>::new(),
-            &vec![Rational::ratio(3, 5); 170],
-            &Rational::integer(2),
-        );
-        assert!(exact.is_ok());
+            &vec![Rational::ratio(3, 5); 40],
+            &Rational::ratio(40, 3),
+        )
+        .unwrap()
+        .to_f64();
+        let float = winning_probability_threshold_in(&mut floats, &[0.6; 40], &(40.0 / 3.0));
+        assert!((float.unwrap() - exact).abs() < contracts::tolerances::PROB_EPS);
     }
 }

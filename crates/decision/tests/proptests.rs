@@ -146,9 +146,9 @@ proptest! {
     // rounded ball), and the enclosure itself must stay tight enough
     // to be a meaningful certificate. (Feasible at 32 only because
     // the symmetric path groups the inclusion–exclusion subsets by
-    // size into scaled Irwin–Hall CDFs; the reflected, compensated
-    // Irwin–Hall sum is also what keeps the widths below PROB_EPS —
-    // the raw alternating sum's cancellation would blow past it by
+    // size into scaled Irwin–Hall CDFs; the positive B-spline
+    // recurrence is also what keeps the widths below PROB_EPS — the
+    // raw alternating sum's cancellation would blow past it by
     // n = 24.)
     #[test]
     fn f64_paths_lie_in_ball_enclosures_up_to_32_players(

@@ -31,4 +31,4 @@ pub use ball::Ball;
 pub use combinatorics::{binomial, binomial_rational, factorial, factorial_rational};
 pub use convert::ParseRationalError;
 pub use ratio::Rational;
-pub use scalar::{binomial_in, factorial_in, Scalar};
+pub use scalar::{factorial_in, Scalar};

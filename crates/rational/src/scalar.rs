@@ -40,8 +40,9 @@ use std::ops::{Add, Div, Mul, Neg, Sub};
 /// Beyond the arithmetic operators, the trait embeds integers and
 /// ratios (every constant in the paper's formulas is rational), tests
 /// signs without subtraction, raises to small non-negative integer
-/// powers, and carries the instantiation-appropriate probability
-/// contract ([`Scalar::ensure_probability`]).
+/// powers, carries the instantiation-appropriate probability
+/// contract ([`Scalar::ensure_probability`]) and, for rounding
+/// instantiations, a clamp onto `[0, 1]` ([`Scalar::UNIT_CLAMP`]).
 pub trait Scalar:
     Clone
     + Debug
@@ -100,36 +101,22 @@ pub trait Scalar:
     /// `checked-invariants` (like every contract macro).
     fn ensure_probability(value: &Self);
 
-    /// The largest order `m` at which this instantiation's Irwin–Hall
-    /// CDF (the alternating sum of `C(m, i) (t − i)^m` terms) can be
-    /// trusted for every `t`; the symmetric closed forms refuse larger
-    /// systems. Unbounded for exact instantiations. `f64` stops where
-    /// its cancellation error leaves `contracts::tolerances::PROB_EPS`
-    /// (39); [`crate::Ball`] stops where its terms leave the finite
-    /// floats (158), since its enclosures stay rigorous — only wider —
-    /// up to there.
-    const MAX_IRWIN_HALL_ORDER: u32 = u32::MAX;
-
-    /// Folds `term` into the accumulator `acc`, threading a
-    /// compensation value through `carry`; callers must add the final
-    /// `carry` back onto the returned accumulator when the fold ends.
+    /// Keeps a value known to lie in `[0, 1]` inside it after
+    /// rounding: `None` in exact instantiations (`Rational` never
+    /// rounds), the intersection with `[0, 1]` in the rounding ones.
     ///
-    /// The default is a plain `acc + term` with an untouched carry —
-    /// correct for every instantiation, and exactly right for the
-    /// self-correcting ones (`Rational` is exact, [`crate::Ball`]
-    /// *encloses* its rounding error). The `f64` instantiation
-    /// overrides this with Neumaier's compensated summation, which the
-    /// alternating inclusion–exclusion sums of Theorems 4.1/5.1 need
-    /// to stay inside `contracts::tolerances::PROB_EPS` beyond
-    /// `n ≈ 8`.
-    #[must_use]
-    fn accumulate(acc: Self, term: Self, carry: &mut Self) -> Self {
-        let _ = carry;
-        acc + term
-    }
+    /// Closed forms whose rounded evaluation would cancel digits read
+    /// this constant to pick an algorithm at compile time: the
+    /// Irwin–Hall CDF takes its `O(m)` alternating sum where it is
+    /// `None`, and otherwise the positive B-spline recurrence with
+    /// every step clamped (for [`crate::Ball`] that stops width
+    /// growth from compounding).
+    const UNIT_CLAMP: Option<fn(Self) -> Self>;
 }
 
 impl Scalar for Rational {
+    const UNIT_CLAMP: Option<fn(Rational) -> Rational> = None;
+
     fn zero() -> Rational {
         Rational::zero()
     }
@@ -172,19 +159,7 @@ impl Scalar for Rational {
 }
 
 impl Scalar for f64 {
-    /// The largest order whose worst evaluation error stays within
-    /// `contracts::tolerances::PROB_EPS` = 1e-9. Measured against the
-    /// exact CDF at the float's own value on the grid `t = k / 4093`
-    /// over `(0, m)`, for both the direct and the memoized evaluation
-    /// (`cargo run --release --example irwin_hall_accuracy`): the
-    /// worst error is 3.8e-10 at m = 38, 6.2e-10 at m = 39 and 1.05e-9
-    /// at m = 40, always just below `t = m/2`. A coarser grid
-    /// (`t = k / 997`) shows the growth past the limit: 6.9e-10 at
-    /// m = 40, 1.5e-9 at 41, 6.6e-9 at 45 and 9.0e-9 at 46, roughly
-    /// doubling every two orders. Dyadic grids such as `t = k / 16`
-    /// understate the error severalfold, because their power terms
-    /// are nearly exact.
-    const MAX_IRWIN_HALL_ORDER: u32 = 39;
+    const UNIT_CLAMP: Option<fn(f64) -> f64> = Some(|value| value.clamp(0.0, 1.0));
 
     fn zero() -> f64 {
         0.0
@@ -226,19 +201,6 @@ impl Scalar for f64 {
     fn ensure_probability(value: &f64) {
         contracts::ensures_prob!(*value, eps = contracts::tolerances::PROB_EPS);
     }
-
-    fn accumulate(acc: f64, term: f64, carry: &mut f64) -> f64 {
-        // Neumaier's variant of Kahan summation: the branch picks the
-        // larger-magnitude operand so the recovered rounding error is
-        // exact even when `term` dominates `acc`.
-        let sum = acc + term;
-        *carry += if acc.abs() >= term.abs() {
-            (acc - sum) + term
-        } else {
-            (term - sum) + acc
-        };
-        sum
-    }
 }
 
 /// Computes `n!` as a scalar (exact for `Rational`, rounded for
@@ -253,26 +215,11 @@ pub fn factorial_in<S: Scalar>(n: u32) -> S {
     acc
 }
 
-/// Computes the binomial coefficient `C(n, k)` as a scalar, via the
-/// multiplicative formula. Returns zero when `k > n`.
-#[must_use]
-pub fn binomial_in<S: Scalar>(n: u32, k: u32) -> S {
-    if k > n {
-        return S::zero();
-    }
-    let k = k.min(n - k);
-    let mut acc = S::one();
-    for i in 0..k {
-        acc = acc * S::from_ratio(i64::from(n - i), i64::from(i + 1));
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ball::Ball;
-    use crate::combinatorics::{binomial_rational, factorial_rational};
+    use crate::combinatorics::factorial_rational;
 
     fn roundtrip<S: Scalar>() {
         assert_eq!(S::zero() + S::one(), S::one());
@@ -311,22 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_recovers_cancelled_digits() {
-        // 1 + 1e100 - 1e100 is 0 in naive f64 summation; Neumaier
-        // accumulation keeps the lost unit in the carry.
-        let terms = [1.0f64, 1e100, -1e100];
-        let mut naive = 0.0;
-        let mut acc = 0.0;
-        let mut carry = 0.0;
-        for &t in &terms {
-            naive += t;
-            acc = Scalar::accumulate(acc, t, &mut carry);
-        }
-        assert_eq!(naive, 0.0);
-        assert_eq!(acc + carry, 1.0);
-    }
-
-    #[test]
     fn from_rational_is_lossless_for_rational_and_rounds_for_f64() {
         let third = Rational::ratio(1, 3);
         assert_eq!(Rational::from_rational(&third), third);
@@ -338,12 +269,6 @@ mod tests {
     fn generic_combinatorics_match_exact_helpers() {
         for n in 0u32..12 {
             assert_eq!(factorial_in::<Rational>(n), factorial_rational(n));
-            for k in 0..=n + 2 {
-                assert_eq!(binomial_in::<Rational>(n, k), binomial_rational(n, k));
-                let float = binomial_in::<f64>(n, k);
-                let exact = binomial_rational(n, k).to_f64();
-                assert!((float - exact).abs() < 1e-6, "C({n},{k})");
-            }
         }
     }
 

@@ -338,22 +338,24 @@ impl Envelope {
             }
         };
         let rule = |what: &str| RuleSpec::from_json(wire::field(fields, "rule", what)?);
-        // Monte-Carlo work grows with the player count: refuse
-        // oversized systems before they reach the engine.
-        let simulable = |n: usize, what: &str| -> Result<usize, String> {
+        // Analytic and Monte-Carlo work both grow with the player
+        // count: refuse oversized systems before any compute.
+        let bounded = |n: usize, what: &str| -> Result<usize, String> {
             if n > MAX_PLAYERS {
                 Err(format!(
-                    "{what} has {n} players; Monte-Carlo queries take at most {MAX_PLAYERS}"
+                    "{what} has {n} players; this daemon takes at most {MAX_PLAYERS}"
                 ))
             } else {
                 Ok(n)
             }
         };
         let request = match kind {
-            "pwin" => Request::PWin {
-                delta: delta("pwin request")?,
-                rule: rule("pwin request")?,
-            },
+            "pwin" => {
+                let delta = delta("pwin request")?;
+                let rule = rule("pwin request")?;
+                bounded(rule.n(), "pwin rule")?;
+                Request::PWin { delta, rule }
+            }
             "optimal" => Request::Optimal {
                 family: RuleFamily::parse(
                     wire::field(fields, "family", "optimal request")?.str("family")?,
@@ -363,14 +365,17 @@ impl Envelope {
                 delta: delta("optimal request")?,
             },
             "sweep" => Request::Sweep {
-                n: usize::try_from(wire::field(fields, "n", "sweep request")?.u64("n")?)
-                    .map_err(|_| "n out of range".to_owned())?,
+                n: bounded(
+                    usize::try_from(wire::field(fields, "n", "sweep request")?.u64("n")?)
+                        .map_err(|_| "n out of range".to_owned())?,
+                    "sweep request",
+                )?,
                 delta: delta("sweep request")?,
                 grid: usize::try_from(wire::field(fields, "grid", "sweep request")?.u64("grid")?)
                     .map_err(|_| "grid out of range".to_owned())?,
             },
             "sweep_mc" => Request::SweepMc {
-                n: simulable(
+                n: bounded(
                     usize::try_from(wire::field(fields, "n", "sweep_mc request")?.u64("n")?)
                         .map_err(|_| "n out of range".to_owned())?,
                     "sweep_mc request",
@@ -393,7 +398,7 @@ impl Envelope {
                 let trials = wire::field(fields, "trials", "simulate request")?.u64("trials")?;
                 let seed = wire::field(fields, "seed", "simulate request")?.u64("seed")?;
                 let rule = rule("simulate request")?;
-                simulable(rule.n(), "simulate rule")?;
+                bounded(rule.n(), "simulate rule")?;
                 Request::Simulate {
                     delta,
                     trials,

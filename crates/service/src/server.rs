@@ -185,6 +185,13 @@ impl Shared {
                         self.config.max_grid
                     ));
                 }
+                let cost = (*grid as u128 + 1) * (*n as u128).pow(3);
+                let budget = (self.config.max_grid as u128 + 1) * SWEEP_BUDGET_PLAYERS.pow(3);
+                if cost > budget {
+                    return Err(format!(
+                        "a sweep of {n} players over grid {grid} exceeds this daemon's analytic budget: (grid + 1) x n^3 must stay within {budget}"
+                    ));
+                }
                 let (points, cache) = self
                     .cache
                     .sweep(*n, *delta, *grid)
@@ -503,13 +510,18 @@ pub const MAX_CONNECTIONS: usize = 256;
 /// error response and is disconnected.
 pub const MAX_REQUEST_BYTES: usize = 1 << 20;
 
-/// The most players a `simulate` rule or a `sweep_mc` system may
-/// have: the largest row of the certified threshold table. Engine time
-/// grows with `trials × players`; `max_trials` bounds one factor and
-/// this the other, so a request line at [`MAX_REQUEST_BYTES`] (room
-/// for ~250k parameters) cannot buy hours of Monte-Carlo. Requests
-/// over it fail to parse.
+/// The most players a `pwin`, `sweep`, `simulate` rule or `sweep_mc`
+/// system may have: the largest row of the certified threshold table.
+/// Engine time grows with `trials × players` and `max_trials` bounds
+/// the other factor, so a request line at [`MAX_REQUEST_BYTES`] (room
+/// for ~250k parameters) cannot buy hours of Monte-Carlo; a symmetric
+/// closed form costs `O(n³)`. Requests over it fail to parse.
 pub const MAX_PLAYERS: usize = 128;
+
+/// A symmetric analytic sweep costs `O((grid + 1) · n³)`; it may cost
+/// at most `(max_grid + 1) · 39³`, the largest sweep served when the
+/// closed forms stopped at 39 players (~0.3 s at the default grid).
+const SWEEP_BUDGET_PLAYERS: u128 = 39;
 
 /// Serves one connection: one JSON request per line, one JSON
 /// response per line, until EOF, a transport error, an oversized

@@ -9,6 +9,9 @@
 //! an optimizer that threads one context through a sweep pays for
 //! each table once instead of once per grid point.
 //!
+//! A table is one [`crate::irwin_hall_cdf_row`]: one B-spline
+//! triangle in `f64` and `rational::Ball`, exact sums in `Rational`.
+//!
 //! # Examples
 //!
 //! ```
@@ -147,9 +150,10 @@ impl<S: Scalar> EvalContext<S> {
     /// The memoized table `[F_0(t), …, F_n(t)]` of Irwin–Hall CDF
     /// values at `t`.
     ///
-    /// On a miss the table is computed once (reusing the context's
-    /// cached binomial rows and factorials) and stored; at most
+    /// On a miss the table is computed once and stored; at most
     /// [`IH_TABLE_CAP`] tables are kept, evicted first-in-first-out.
+    /// A larger cached table serves a smaller `n` from its prefix,
+    /// bit-identical to a fresh smaller table.
     pub fn irwin_hall_cdf_table(&mut self, n: u32, t: &S) -> Vec<S> {
         if let Some(table) = self
             .ih_tables
@@ -160,7 +164,7 @@ impl<S: Scalar> EvalContext<S> {
             return table.row[..=n as usize].to_vec();
         }
         self.misses += 1;
-        let row: Vec<S> = (0..=n).map(|m| self.compute_ih_cdf(m, t)).collect();
+        let row = crate::irwin_hall_cdf_row(n, t);
         if self.ih_tables.len() >= IH_TABLE_CAP {
             self.ih_tables.remove(0);
         }
@@ -170,50 +174,6 @@ impl<S: Scalar> EvalContext<S> {
             row: row.clone(),
         });
         row
-    }
-
-    /// Computes `F_m(t)` from the cached combinatorial tables (the
-    /// same closed form as [`crate::irwin_hall_cdf_in`], sharing
-    /// binomials and factorials across `m`).
-    fn compute_ih_cdf(&mut self, m: u32, t: &S) -> S {
-        if m == 0 {
-            return if t.is_negative() { S::zero() } else { S::one() };
-        }
-        if !t.is_positive() {
-            return S::zero();
-        }
-        if *t >= S::from_int(i64::from(m)) {
-            return S::one();
-        }
-        // Same reflection as `crate::irwin_hall_cdf_in`: evaluate the
-        // alternating sum on the better-conditioned side of m/2.
-        let half = S::from_ratio(i64::from(m), 2);
-        let value = if *t > half {
-            let reflected = S::from_int(i64::from(m)) - t.clone();
-            S::one() - self.alternating_ih_sum(m, &reflected)
-        } else {
-            self.alternating_ih_sum(m, t)
-        };
-        S::ensure_probability(&value);
-        value
-    }
-
-    /// The alternating inclusion–exclusion sum of Corollary 2.6 at a
-    /// point `t ≤ m/2`, normalized by `m!`, with terms folded through
-    /// [`Scalar::accumulate`] (compensated in the `f64` instantiation).
-    fn alternating_ih_sum(&mut self, m: u32, t: &S) -> S {
-        let mut acc = S::zero();
-        let mut carry = S::zero();
-        for i in 0..=m {
-            let shift = S::from_int(i64::from(i));
-            if shift >= *t {
-                break;
-            }
-            let term = self.binomial(m, i) * (t.clone() - shift).powi(m);
-            let signed = if i % 2 == 0 { term } else { -term };
-            acc = S::accumulate(acc, signed, &mut carry);
-        }
-        (acc + carry) / self.factorial(m)
     }
 }
 
@@ -299,9 +259,9 @@ mod tests {
 
     #[test]
     fn float_context_tracks_exact_context_in_the_upper_tail() {
-        // Regression: without the midpoint reflection the float
-        // context lost ~1e-4 at (m, t) = (30, 28); the whole upper
-        // tail must now sit within the probability tolerance.
+        // Regression: the alternating sum without midpoint reflection
+        // lost ~1e-4 at (m, t) = (30, 28); the whole upper tail must
+        // sit within the probability tolerance.
         let mut exact = EvalContext::<Rational>::new();
         let mut float = EvalContext::<f64>::new();
         for t_num in 46..=60i64 {

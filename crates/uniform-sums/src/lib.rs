@@ -9,7 +9,9 @@
 //!   `[π_i, 1]` gives Lemma 2.7.
 //! * [`irwin_hall_cdf`] / [`irwin_hall_pdf`] — the classical
 //!   Irwin–Hall special case `π_i = 1` (Corollary 2.6), which is what
-//!   the oblivious analysis (Theorem 4.1) consumes.
+//!   the symmetric analyses (Theorems 4.1 and 5.1) consume. Inexact
+//!   scalars evaluate it through one positive B-spline recurrence,
+//!   [`irwin_hall_row`], which yields every order at one argument.
 //!
 //! Each formula is implemented once, generically over
 //! [`rational::Scalar`] ([`box_sum_cdf_in`], [`irwin_hall_cdf_in`],
@@ -44,8 +46,8 @@ mod uniform_sum;
 pub use box_sum::{box_sum_cdf_in, box_sum_pdf_in, BoxSum};
 pub use context::EvalContext;
 pub use irwin_hall::{
-    irwin_hall_cdf, irwin_hall_cdf_f64, irwin_hall_cdf_in, irwin_hall_pdf, irwin_hall_pdf_f64,
-    irwin_hall_pdf_in,
+    irwin_hall_cdf, irwin_hall_cdf_f64, irwin_hall_cdf_in, irwin_hall_cdf_row, irwin_hall_pdf,
+    irwin_hall_pdf_in, irwin_hall_row, IrwinHallRow,
 };
 pub use shared::SharedContext;
 pub use uniform_sum::{shifted_box_sum_cdf_in, UniformSum};

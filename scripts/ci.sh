@@ -5,7 +5,7 @@
 #   -> doc-tests -> tests with hard invariants -> benchmark-harness tests
 #   -> bench smoke -> bench check
 #   -> metrics smoke -> chaos smoke -> shard smoke -> service smoke
-#   -> table check -> analyze smoke (runtime budget).
+#   -> figures pin -> table check -> analyze smoke (runtime budget).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -106,6 +106,14 @@ if [ "$elapsed" -ge 5 ]; then
     echo "service smoke: exceeded the 5s runtime budget" >&2
     exit 1
 fi
+
+echo "==> figures pin (committed figure CSVs)"
+# Figures 1 and 2 are sampled from the exact piecewise polynomials,
+# so regenerating them must reproduce the committed CSVs byte for
+# byte; any drift fails here.
+cargo run --release --quiet --package bench --bin figures -- fig1
+cargo run --release --quiet --package bench --bin figures -- fig2
+git diff --exit-code -- results/figure1.csv results/figure2.csv
 
 echo "==> table check (certified threshold table)"
 # Validates the committed certified-threshold artifact — schema,
