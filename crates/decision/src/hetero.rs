@@ -5,7 +5,7 @@
 //!
 //! The framework carries over verbatim: conditional on the decision
 //! vector, bin-0 inputs are uniform on `[0, a_i]` and bin-1 inputs on
-//! `[a_i, c_i]`, so Lemma 2.4's machinery (via [`UniformSum`]) gives
+//! `[a_i, c_i]`, so Lemma 2.4's machinery (via [`UniformSum`](uniform_sums::UniformSum)) gives
 //! exact winning probabilities. The whole problem is scale-covariant:
 //! multiplying every `c_i`, `a_i`, and `δ` by `λ` leaves the winning
 //! probability unchanged (asserted in the tests).

@@ -21,7 +21,7 @@
 //!
 //! This module is deliberately *not* generic over
 //! [`rational::Scalar`]: its output is a symbolic
-//! [`PiecewisePolynomial`](polynomial::PiecewisePolynomial) in `β`,
+//! [`PiecewisePolynomial`] in `β`,
 //! which only makes sense exactly. Point evaluations of the same
 //! quantity in either field go through the generic
 //! [`crate::winning_probability_threshold_in`].

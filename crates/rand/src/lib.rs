@@ -315,6 +315,27 @@ pub mod counter {
         let bits = ((word << (32 * (half & 1))) >> 12) & HALF_MASK;
         f64::from_bits(ONE_BITS | MIDPOINT_BIT | bits) - 1.0
     }
+
+    /// `2³³`: the lattice's scale. A draw `u = half_to_unit(word,
+    /// half)` equals `v / LATTICE_SCALE` exactly, where
+    /// `v = half_to_lattice(word, half)`.
+    pub const LATTICE_SCALE: f64 = 8_589_934_592.0;
+
+    /// The same draw as [`half_to_unit`], as the odd lattice integer
+    /// `v = 2h + 1` in `[1, 2³³)`: `half_to_unit(word, half)` is
+    /// exactly `v as f64 / LATTICE_SCALE` (both `v < 2⁵³` and the
+    /// power-of-two scale are exact in `f64`).
+    ///
+    /// Comparisons and sums of draws can therefore run on these
+    /// integers instead of on floats. Shifting the wanted half to the
+    /// top and right by 31 leaves `2h` plus one stray bit, which the
+    /// final `| 1` overwrites. `half` must be `0` or `1`; only its low
+    /// bit is read.
+    #[inline]
+    #[must_use]
+    pub fn half_to_lattice(word: u64, half: usize) -> u64 {
+        ((word << (32 * (half & 1))) >> 31) | 1
+    }
 }
 
 /// Generators constructible from an explicit seed.
@@ -483,7 +504,9 @@ int_sample_range!(
 
 #[cfg(test)]
 mod counter_tests {
-    use super::counter::{half_to_unit, threefry4x64, threefry4x64_lanes, CounterKey};
+    use super::counter::{
+        half_to_lattice, half_to_unit, threefry4x64, threefry4x64_lanes, CounterKey, LATTICE_SCALE,
+    };
     use super::rngs::StdRng;
     use super::{RngCore, SeedableRng};
 
@@ -652,6 +675,34 @@ mod counter_tests {
             for threshold in [0.25, 0.5, 0.75] {
                 assert_ne!(lattice(h), threshold);
             }
+        }
+    }
+
+    #[test]
+    fn lattice_integers_rebuild_the_unit_draws_exactly() {
+        let check = |word: u64| {
+            for half in 0..2 {
+                let v = half_to_lattice(word, half);
+                assert_eq!(v % 2, 1, "word {word:#x} half {half}");
+                assert!(v < 1 << 33, "word {word:#x} half {half}");
+                assert_eq!(
+                    v as f64 / LATTICE_SCALE,
+                    half_to_unit(word, half),
+                    "word {word:#x} half {half}"
+                );
+            }
+        };
+        for word in [0, u64::MAX, 0x8000_0000_0000_0001] {
+            check(word);
+        }
+        assert_eq!(half_to_lattice(0, 0), 1);
+        assert_eq!(half_to_lattice(u64::MAX, 1), (1 << 33) - 1);
+        // Half 0 reads the high 32 bits, half 1 the low 32 bits.
+        assert_eq!(half_to_lattice(0x8000_0000_0000_0001, 0), (1 << 32) + 1);
+        assert_eq!(half_to_lattice(0x8000_0000_0000_0001, 1), 3);
+        let mut rng = StdRng::seed_from_u64(17);
+        for _ in 0..10_000 {
+            check(rng.next_u64());
         }
     }
 

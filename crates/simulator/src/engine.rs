@@ -42,7 +42,7 @@
 //! * **v5**: every rule runs on the lane kernel and there is no
 //!   sequential stream. Hinted draws were exactly v4's; opaque rules
 //!   moved from the v2 stream to the counter draws.
-//! * **v6** (current): every 64-bit Threefry word carries two
+//! * **v6**: every 64-bit Threefry word carries two
 //!   uniforms, its high and its low 32-bit half, each mapped to the
 //!   midpoint lattice `u = (h + ½)·2⁻³²`
 //!   ([`rand::counter::half_to_unit`]). Uniform `(kind, p)` of trial
@@ -53,6 +53,14 @@
 //!   so common random numbers across rules and fault rates hold as
 //!   before. Every draw moved, so every estimate for a given seed
 //!   changed.
+//! * **v7** (current): draws exactly v6's; the lane loop decides and
+//!   sums on each draw's lattice integer `v = 2h + 1` (the draw is
+//!   `v·2⁻³³`, [`rand::counter::half_to_lattice`]) instead of on its
+//!   `f64`. Thresholds, coin probabilities, the crash rate and `δ`
+//!   become integer bounds once per run, bin sums are `u64`, and
+//!   every comparison keeps its strictness, so every decision and
+//!   every win equals v6's (see `run_lane_batch`). Opaque rules still
+//!   see the same `f64` draws.
 //!
 //! Consequently, same-version estimates are bit-for-bit reproducible
 //! across thread counts, batch schedules, pool reuse, lane widths and
@@ -61,7 +69,7 @@
 //! `tests/stream_v3.rs` are re-pinned at each version that moves a
 //! draw.
 //!
-//! # Lattice bias (v6)
+//! # Lattice bias (v6 and later)
 //!
 //! A v6 draw lies strictly inside `(0, 1)`, the lattice has mean
 //! exactly `½` and is symmetric under `u ↦ 1 − u`, and no draw can tie
@@ -82,22 +90,25 @@
 
 use crate::chaos::{self, ChaosPlan, ChaosUnwind, FaultKind};
 use crate::kernel::{
-    DrawKind, GenericKernel, Kernel, ObliviousKernel, ThresholdKernel, DRAWS_PER_BLOCK, KIND_SHIFT,
-    LANE_STREAM_DOMAIN,
+    lattice_ceil, lattice_floor, DrawKind, GenericKernel, Kernel, ObliviousKernel, ThresholdKernel,
+    DRAWS_PER_BLOCK, KIND_SHIFT, LANE_STREAM_DOMAIN,
 };
 use crate::metrics::keys;
 use crate::pool::{Admission, ComputeBudget, Job, PoolConfig, WorkerPool};
 use crate::{SimulationError, SimulationReport};
 use decision::{KernelHint, LocalRule};
 use obs::{Deadline, MetricsSink, NoopSink};
-use rand::counter::{half_to_unit, threefry4x64_lanes, CounterKey};
+use rand::counter::{half_to_lattice, threefry4x64_lanes, CounterKey};
+use std::hint::select_unpredictable;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, OnceLock};
 use std::time::Duration;
 
-/// Version of the per-batch RNG stream shape (see the
-/// [module docs](self) for the history).
-pub const RNG_STREAM_VERSION: u32 = 6;
+/// Version of the per-batch RNG stream shape. Bumped whenever a
+/// stream-critical function changes, even when no draw moves; the
+/// engine module's source docs keep the history (v7: v6's draws,
+/// decided and summed on their lattice integers).
+pub const RNG_STREAM_VERSION: u32 = 7;
 
 /// Default trials per batch; shared with the instrumented
 /// [`load_stats`](crate::load_stats) loop so its stream stays
@@ -223,8 +234,33 @@ struct TrialParams {
     seed: u64,
     trials: u64,
     batch_size: u64,
+    /// The capacity `δ` itself, read only by the tests' `f64` replay;
+    /// the lane loop reads `capacity`.
+    #[cfg(test)]
     delta: f64,
     p_crash: f64,
+    /// `⌊δ·2³³⌋`, the largest winning bin sum of lattice integers;
+    /// `None` when `δ` is negative (or NaN) and no bin, not even an
+    /// empty one, fits.
+    capacity: Option<u64>,
+    /// `⌈p_crash·2³³⌉`: a player is live iff its fault draw's lattice
+    /// integer is at least this.
+    live_from: u64,
+}
+
+impl TrialParams {
+    fn new(seed: u64, trials: u64, batch_size: u64, delta: f64, p_crash: f64) -> TrialParams {
+        TrialParams {
+            seed,
+            trials,
+            batch_size,
+            #[cfg(test)]
+            delta,
+            p_crash,
+            capacity: (delta >= 0.0).then(|| lattice_floor(delta)),
+            live_from: lattice_ceil(p_crash),
+        }
+    }
 }
 
 /// Shared state of one pooled run: workers and the submitting thread
@@ -670,13 +706,7 @@ impl Simulation {
 
     /// Bundles the per-run constants handed to every batch.
     fn trial_params(&self, delta: f64, p_crash: f64) -> TrialParams {
-        TrialParams {
-            seed: self.seed,
-            trials: self.trials,
-            batch_size: self.batch_size,
-            delta,
-            p_crash,
-        }
+        TrialParams::new(self.seed, self.trials, self.batch_size, delta, p_crash)
     }
 
     /// Admits a run to the compute budget: the calling thread, plus
@@ -932,21 +962,37 @@ pub(crate) fn lane_key(seed: u64) -> CounterKey {
 /// ([`Kernel::USES_COINS`]) and the fault block only when
 /// `p_crash > 0` — so e.g. a threshold rule's crash-free run evaluates
 /// one block per eight players. Each word's two halves are converted
-/// ([`half_to_unit`]) and folded into the bin sums of their players
+/// to their lattice integers `v = 2h + 1` ([`half_to_lattice`]; the
+/// draw is `v·2⁻³³`) and folded into the bin sums of their players
 /// right away, high half first: no uniform is stored, no row is
 /// copied, and the batch allocates nothing. The half index is a
 /// constant of the unrolled inner loop, so each conversion is a fixed
-/// shift, mask and subtraction.
+/// shift and an OR.
 ///
-/// The fold is branch-free per player: the decision and the crash
-/// outcome become `{0.0, 1.0}` masks and both bin sums accumulate
-/// `mask × input`. That is bit-identical to the branchy form — the
-/// masks multiply `input ≥ 0` by exactly `1.0` or `0.0`, and adding
-/// `+0.0` to a non-negative sum is the identity — which the lane
-/// tests pin against a scalar branchy replay. Players are folded in
-/// ascending order, as the replay does. Tail lanes past the batch's
-/// trial count are computed and discarded — counter addressing makes
-/// the waste harmless and the loop shape uniform.
+/// The whole decision runs on these integers. The kernel compares
+/// `v` with its per-player bounds, a player is live iff its fault
+/// integer is at least `⌈p_crash·2³³⌉`, and a trial wins iff both bin
+/// sums are at most `⌊δ·2³³⌋` (no trial wins when `δ < 0`). The fold
+/// is branch-free per player: the crash outcome selects the player's
+/// load (`v` or `0`), the decision selects that load or `0` into bin
+/// 0, and bin 1 gets the rest, all in `u64` lanes. The selects are
+/// [`select_unpredictable`]: a `0`/`!0` mask AND is the same
+/// arithmetic, but the compiler folds it back into a plain select
+/// and, on the opaque path where the decision comes out of a call,
+/// into a branch that mispredicts on every other player. Every step
+/// equals the float computation it replaces:
+/// each bound is the exact floor or ceiling of a value scaled by a
+/// power of two, and the float bin sums were themselves exact: a sum
+/// of `n` draws, each below `2³³` units of `2⁻³³`, is a multiple of
+/// `2⁻³³` below `n`, which needs at most 40 significant bits at the
+/// daemon's limit of 128 players and fits the 53 of an `f64` for any
+/// `n < 2²⁰`. The lane tests
+/// pin the integer fold against a scalar replay that decides and
+/// sums in `f64`, with every bound placed on a lattice point and on
+/// either side of it. Players are folded in ascending order, as the
+/// replay does. Tail lanes past the batch's trial count are computed
+/// and discarded — counter addressing makes the waste harmless and
+/// the loop shape uniform.
 ///
 /// [`lane_draw`]: crate::kernel::lane_draw
 fn run_lane_batch<K: Kernel, const L: usize>(
@@ -973,8 +1019,8 @@ fn run_lane_batch<K: Kernel, const L: usize>(
         for (j, trial) in ctr[1].iter_mut().enumerate() {
             *trial = trial0 + j as u64;
         }
-        let mut sum0 = [0.0f64; L];
-        let mut sum1 = [0.0f64; L];
+        let mut sum0 = [0u64; L];
+        let mut sum1 = [0u64; L];
         for k in 0..blocks {
             let plane = |kind: DrawKind| [((kind as u64) << KIND_SHIFT) | k as u64; L];
             ctr[2] = plane(DrawKind::Input);
@@ -999,15 +1045,17 @@ fn run_lane_batch<K: Kernel, const L: usize>(
                             break;
                         }
                         for j in 0..L {
-                            let input = half_to_unit(inputs[w][j], half);
-                            let coin = half_to_unit(coins[w][j], half);
-                            let fault = half_to_unit(faults[w][j], half);
-                            let live = f64::from(u8::from(fault >= params.p_crash));
-                            let zero =
-                                f64::from(u8::from(kernel.sends_to_zero(first + q, input, coin)))
-                                    * live;
-                            sum0[j] += zero * input;
-                            sum1[j] += (live - zero) * input;
+                            let input = half_to_lattice(inputs[w][j], half);
+                            let coin = half_to_lattice(coins[w][j], half);
+                            let fault = half_to_lattice(faults[w][j], half);
+                            let load = select_unpredictable(fault >= params.live_from, input, 0);
+                            let zero = select_unpredictable(
+                                kernel.sends_to_zero(first + q, input, coin),
+                                load,
+                                0,
+                            );
+                            sum0[j] += zero;
+                            sum1[j] += load - zero;
                         }
                     }
                 }
@@ -1019,20 +1067,25 @@ fn run_lane_batch<K: Kernel, const L: usize>(
                             break;
                         }
                         for j in 0..L {
-                            let input = half_to_unit(inputs[w][j], half);
-                            let coin = half_to_unit(coins[w][j], half);
-                            let zero =
-                                f64::from(u8::from(kernel.sends_to_zero(first + q, input, coin)));
-                            sum0[j] += zero * input;
-                            sum1[j] += (1.0 - zero) * input;
+                            let input = half_to_lattice(inputs[w][j], half);
+                            let coin = half_to_lattice(coins[w][j], half);
+                            let zero = select_unpredictable(
+                                kernel.sends_to_zero(first + q, input, coin),
+                                input,
+                                0,
+                            );
+                            sum0[j] += zero;
+                            sum1[j] += input - zero;
                         }
                     }
                 }
             }
         }
-        let live_lanes = usize::try_from(count - trial0).unwrap_or(L).min(L);
-        for j in 0..live_lanes {
-            wins += u64::from(sum0[j] <= params.delta && sum1[j] <= params.delta);
+        if let Some(capacity) = params.capacity {
+            let live_lanes = usize::try_from(count - trial0).unwrap_or(L).min(L);
+            for j in 0..live_lanes {
+                wins += u64::from(sum0[j] <= capacity && sum1[j] <= capacity);
+            }
         }
         trial0 += L as u64;
     }
@@ -1068,9 +1121,9 @@ mod tests {
     #[test]
     fn stream_version_is_pinned() {
         // Bump deliberately (with the module-docs history updated)
-        // whenever a stream-critical fn changes (v6: two 32-bit
-        // uniforms per Threefry word, eight draws per block).
-        assert_eq!(RNG_STREAM_VERSION, 6);
+        // whenever a stream-critical fn changes (v7: v6's draws,
+        // decided and summed on their lattice integers).
+        assert_eq!(RNG_STREAM_VERSION, 7);
     }
 
     #[test]
@@ -1241,11 +1294,15 @@ mod tests {
         }
     }
 
-    /// The branchy scalar reference for one lane batch: every draw
-    /// replayed one block at a time through `lane_draw`, crashed
-    /// players skipped with `continue`, each surviving input added to
-    /// the bin its decision names.
-    fn replay_lane_batch<K: Kernel>(kernel: &K, params: TrialParams, batch: u64) -> u64 {
+    /// An `f64` decision oracle for the replay: `true` = bin 0.
+    type Decide<'a> = &'a dyn Fn(usize, f64, f64) -> bool;
+
+    /// The branchy scalar reference for one lane batch, in `f64`
+    /// throughout: every draw replayed one block at a time through
+    /// `lane_draw`, crashed players skipped with `continue`, each
+    /// surviving input added to the bin `decide` names, and the float
+    /// bin sums compared with `δ`.
+    fn replay_lane_batch(n: usize, decide: Decide<'_>, params: TrialParams, batch: u64) -> u64 {
         let key = lane_key(params.seed);
         let count = params
             .batch_size
@@ -1253,13 +1310,13 @@ mod tests {
         let mut wins = 0;
         for trial in 0..count {
             let mut sums = [0.0f64; 2];
-            for player in 0..kernel.players() {
+            for player in 0..n {
                 let draw = |kind| lane_draw(&key, batch, trial, kind, player);
                 if params.p_crash > 0.0 && draw(DrawKind::Fault) < params.p_crash {
                     continue;
                 }
                 let input = draw(DrawKind::Input);
-                if kernel.sends_to_zero(player, input, draw(DrawKind::Coin)) {
+                if decide(player, input, draw(DrawKind::Coin)) {
                     sums[0] += input;
                 } else {
                     sums[1] += input;
@@ -1270,37 +1327,52 @@ mod tests {
         wins
     }
 
+    /// Runs every batch of `params` on the lane loop at width `L`,
+    /// asserting each batch's wins equal the `f64` replay's.
+    fn check<K: Kernel, const L: usize>(
+        kernel: &K,
+        decide: Decide<'_>,
+        params: TrialParams,
+    ) -> u64 {
+        let mut wins = 0;
+        for batch in 0..params.trials.div_ceil(params.batch_size) {
+            let lane = run_lane_batch::<K, L>(kernel, params, batch).wins;
+            let replay = replay_lane_batch(kernel.players(), decide, params, batch);
+            assert_eq!(
+                lane,
+                replay,
+                "L={L} n={} batch {batch} p_crash {} delta {}",
+                kernel.players(),
+                params.p_crash,
+                params.delta
+            );
+            wins += lane;
+        }
+        wins
+    }
+
+    /// The lane wins of `params` at widths 1, 8 and `LANES` (the
+    /// engine's), each checked batch by batch against the replay.
+    fn lane_wins<K: Kernel>(kernel: &K, decide: Decide<'_>, params: TrialParams) -> u64 {
+        let wins = check::<K, LANES>(kernel, decide, params);
+        assert_eq!(check::<K, 1>(kernel, decide, params), wins);
+        assert_eq!(check::<K, 8>(kernel, decide, params), wins);
+        wins
+    }
+
     #[test]
     fn lane_batches_match_a_branchy_scalar_replay() {
-        // The fused lane loop — blocks consumed in registers, masks
-        // instead of branches, two draws per word — must count
-        // exactly the wins of the scalar replay at every width (W1
-        // and W8 against the engine's W16), for both hinted kernels
-        // and the opaque fallback, with and without crashes. The
-        // player counts cover an unused low half (5, 7, 9, 17), a
+        // The fused lane loop — blocks consumed in registers, integer
+        // selects instead of branches, two draws per word — must count
+        // exactly the wins of the f64 scalar replay at every width
+        // (W1 and W8 against the engine's W16), for both hinted
+        // kernels and the opaque fallback, with and without crashes.
+        // The player counts cover an unused low half (5, 7, 9, 17), a
         // full block (8, 16) and the first players of a second or
         // third block (9, 17); 237 trials in batches of 160 leave a
         // 77-trial tail batch, a multiple of neither 8 nor 16.
-        fn check<K: Kernel, const L: usize>(kernel: &K, params: TrialParams) -> u64 {
-            let mut wins = 0;
-            for batch in 0..params.trials.div_ceil(params.batch_size) {
-                let lane = run_lane_batch::<K, L>(kernel, params, batch).wins;
-                let replay = replay_lane_batch(kernel, params, batch);
-                assert_eq!(
-                    lane,
-                    replay,
-                    "L={L} n={} batch {batch} p_crash {}",
-                    kernel.players(),
-                    params.p_crash
-                );
-                wins += lane;
-            }
-            wins
-        }
-        fn all_widths<K: Kernel>(kernel: &K, params: TrialParams) {
-            let wins = check::<K, LANES>(kernel, params);
-            assert_eq!(check::<K, 1>(kernel, params), wins);
-            assert_eq!(check::<K, 8>(kernel, params), wins);
+        fn all_widths<K: Kernel>(kernel: &K, decide: Decide<'_>, params: TrialParams) {
+            let wins = lane_wins(kernel, decide, params);
             // Neither all nor nothing: the comparison has teeth.
             assert!(0 < wins && wins < params.trials, "wins {wins}");
         }
@@ -1316,21 +1388,143 @@ mod tests {
             let spread = |lo: f64, step: f64| -> Vec<f64> {
                 (0..n).map(|p| lo + step * ((p * 7) % 11) as f64).collect()
             };
-            let threshold = ThresholdKernel::new(spread(0.35, 0.05));
-            let oblivious = ObliviousKernel::new(spread(0.25, 0.05));
+            let (thresholds, alpha) = (spread(0.35, 0.05), spread(0.25, 0.05));
+            let threshold = ThresholdKernel::new(thresholds.clone());
+            let oblivious = ObliviousKernel::new(alpha.clone());
             let general = GeneralRule::new(vec![middle_out.clone(); n]).unwrap();
             for p_crash in [0.0, 0.3] {
-                let params = TrialParams {
-                    seed: 17,
-                    trials: 237,
-                    batch_size: 160,
-                    // About a third of the players fit each bin.
-                    delta: n as f64 / 3.0,
-                    p_crash,
+                // About a third of the players fit each bin.
+                let params = TrialParams::new(17, 237, 160, n as f64 / 3.0, p_crash);
+                all_widths(&threshold, &|p, x, _| x <= thresholds[p], params);
+                all_widths(&oblivious, &|p, _, c| c < alpha[p], params);
+                all_widths(
+                    &GenericKernel(&general),
+                    &|p, x, c| general.decide(p, x, c) == decision::Bin::Zero,
+                    params,
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lane_batches_match_the_replay_on_lattice_edges() {
+        // Each bound — a threshold, a coin probability, the crash
+        // rate, δ — sits on a draw (or a bin sum) of one pivot trial,
+        // one lattice step 2⁻³³ either side of it, and half a step
+        // either side, where ⌊·⌋ and ⌈·⌉ differ. Every other
+        // parameter is set so that the pivot trial wins exactly when
+        // that one comparison goes its way: an off-by-one bound or a
+        // flipped strictness changes the pivot trial's outcome, which
+        // the f64 replay then catches.
+        const STEP: f64 = 1.0 / 8_589_934_592.0;
+        const OFFSETS: [f64; 5] = [-STEP, -STEP / 2.0, 0.0, STEP / 2.0, STEP];
+        /// Asserts that, across `OFFSETS`, the wins move exactly as
+        /// the pivot trial's outcome `pivot_wins` does.
+        fn assert_pivot_flips(wins: [u64; 5], pivot_wins: [bool; 5], what: &str) {
+            let rest: Vec<u64> = wins
+                .iter()
+                .zip(pivot_wins)
+                .map(|(&w, pivot)| w.wrapping_sub(u64::from(pivot)))
+                .collect();
+            assert!(
+                rest.windows(2).all(|w| w[0] == w[1]),
+                "{what}: wins {wins:?}, pivot trial should win {pivot_wins:?}"
+            );
+        }
+        let (seed, pivot_batch, pivot_trial, n) = (17, 1, 5, 9);
+        let key = lane_key(seed);
+        let pivot = |kind, player| lane_draw(&key, pivot_batch, pivot_trial, kind, player);
+        let params = |delta, p_crash| TrialParams::new(seed, 237, 160, delta, p_crash);
+        let inputs: Vec<f64> = (0..n).map(|p| pivot(DrawKind::Input, p)).collect();
+        let total: f64 = inputs.iter().sum();
+        let others = total - inputs[0];
+        let all_zero = ThresholdKernel::new(vec![1.0; n]);
+        let to_zero = |_: usize, _: f64, _: f64| true;
+        let with_first = |first: f64| -> Vec<f64> {
+            let mut values = vec![1.0; n];
+            values[0] = first;
+            values
+        };
+
+        // Player 0's threshold on its pivot input, everyone else in
+        // bin 0 and δ the others' sum: the pivot trial wins iff player
+        // 0 goes to bin 1, i.e. iff its input exceeds the threshold.
+        let wins = OFFSETS.map(|offset| {
+            let thresholds = with_first(inputs[0] + offset);
+            let decide = |p: usize, x: f64, _: f64| x <= thresholds[p];
+            let wins = lane_wins(
+                &ThresholdKernel::new(thresholds.clone()),
+                &decide,
+                params(others, 0.0),
+            );
+            let exact: Vec<Rational> = thresholds
+                .iter()
+                .map(|&t| Rational::from_f64_exact(t).unwrap())
+                .collect();
+            let rule = SingleThresholdAlgorithm::new(exact).unwrap();
+            assert_eq!(
+                lane_wins(&GenericKernel(&rule), &decide, params(others, 0.0)),
+                wins
+            );
+            wins
+        });
+        assert_pivot_flips(wins, [true, true, false, false, false], "threshold");
+
+        // Player 0's coin probability on its pivot coin: bin 0 iff
+        // the coin is strictly below it.
+        let coin = pivot(DrawKind::Coin, 0);
+        let wins = OFFSETS.map(|offset| {
+            let alpha = with_first(coin + offset);
+            let decide = |p: usize, _: f64, c: f64| c < alpha[p];
+            let wins = lane_wins(
+                &ObliviousKernel::new(alpha.clone()),
+                &decide,
+                params(others, 0.0),
+            );
+            let exact: Vec<Rational> = alpha
+                .iter()
+                .map(|&a| Rational::from_f64_exact(a).unwrap())
+                .collect();
+            let rule = ObliviousAlgorithm::new(exact).unwrap();
+            assert_eq!(
+                lane_wins(&GenericKernel(&rule), &decide, params(others, 0.0)),
+                wins
+            );
+            wins
+        });
+        assert_pivot_flips(wins, [true, true, true, false, false], "coin probability");
+
+        // δ on the pivot trial's whole load, everyone in bin 0.
+        let wins =
+            OFFSETS.map(|offset| lane_wins(&all_zero, &to_zero, params(total + offset, 0.0)));
+        assert_pivot_flips(wins, [false, false, true, true, true], "delta");
+
+        // The crash rate on player 0's pivot fault coin, everyone in
+        // bin 0 and δ the load of the other live players: the pivot
+        // trial wins iff player 0 crashes, i.e. iff its fault coin is
+        // strictly below the rate. Distinct draws lie at least two
+        // steps apart, so no other player's fate moves.
+        let fault = pivot(DrawKind::Fault, 0);
+        let live_others: f64 = (1..n)
+            .filter(|&p| pivot(DrawKind::Fault, p) >= fault)
+            .map(|p| inputs[p])
+            .sum();
+        let wins = OFFSETS
+            .map(|offset| lane_wins(&all_zero, &to_zero, params(live_others, fault + offset)));
+        assert_pivot_flips(wins, [false, false, false, true, true], "crash rate");
+
+        // δ ≤ 0: only a trial whose players all crashed can win, and
+        // only when δ is not negative. A bound saturated to 0 would
+        // let an empty trial win at a negative δ.
+        for delta in [0.0, -0.0, -STEP / 2.0, -STEP, -1.0, f64::NAN] {
+            for p_crash in [0.0, 1.0] {
+                let wins = lane_wins(&all_zero, &to_zero, params(delta, p_crash));
+                let expected = if delta >= 0.0 && p_crash == 1.0 {
+                    237
+                } else {
+                    0
                 };
-                all_widths(&threshold, params);
-                all_widths(&oblivious, params);
-                all_widths(&GenericKernel(&general), params);
+                assert_eq!(wins, expected, "delta {delta}, p_crash {p_crash}");
             }
         }
     }

@@ -2,15 +2,26 @@
 //! layout: the building blocks of the engine's hot loop.
 //!
 //! A [`Kernel`] is the hot-loop view of a [`LocalRule`]: the decision
-//! as a bool (`true` = bin 0) rather than a [`Bin`], so the lane loop
-//! turns it into a `{0.0, 1.0}` mask and accumulates both bin sums
-//! without a branch per player. The batch runner is generic over it,
-//! so the compiler emits one specialized trial loop per kernel type
-//! with the decision inlined — no virtual call and no
-//! `Rational → f64` conversion per player per trial. The engine picks
-//! the kernel once per run from [`decision::KernelHint`]; rules
-//! without a hint fall back to [`GenericKernel`], which calls
-//! [`LocalRule::decide`] per decision on the same lane loop.
+//! as a bool (`true` = bin 0) rather than a [`Bin`], taken on the
+//! draws' lattice integers rather than on floats. Since stream v6
+//! every draw is `u = v·2⁻³³` for an odd `v = 2h + 1 < 2³³`
+//! ([`half_to_lattice`]), so a comparison of `u` against a real
+//! parameter `x` is a comparison of `v` against an integer bound
+//! computed once per run: `u ≤ x ⇔ v ≤ ⌊x·2³³⌋` ([`lattice_floor`]) and
+//! `u < x ⇔ v < ⌈x·2³³⌉` ([`lattice_ceil`]). Scaling by `2³³` is exact
+//! in `f64`, so each bound is the exact floor or ceiling and every
+//! decision equals the float comparison it replaces. The lane loop
+//! uses the decision to select each input into one of two `u64` bin
+//! sums, without a branch per player.
+//!
+//! The batch runner is generic over the kernel, so the compiler emits
+//! one specialized trial loop per kernel type with the decision
+//! inlined — no virtual call and no `Rational → f64` conversion per
+//! player per trial. The engine picks the kernel once per run from
+//! [`decision::KernelHint`]; rules without a hint fall back to
+//! [`GenericKernel`], which rebuilds the float draws (bit-identical
+//! to [`half_to_unit`]) and calls [`LocalRule::decide`] per decision
+//! on the same lane loop.
 //!
 //! Uniforms are addressed by `(batch, trial, kind, player)` on the
 //! counter-based Threefry generator ([`DrawKind`],
@@ -20,16 +31,19 @@
 //! there is no uniform buffer. Each draw is a pure function of its
 //! coordinates, so every lane width produces bit-identical results
 //! by construction, and [`lane_draw`] replays any single draw (see
-//! the engine module docs, stream versions v3–v6).
+//! the engine module docs, stream versions v3–v7).
+//!
+//! [`half_to_lattice`]: rand::counter::half_to_lattice
 
 use decision::{Bin, LocalRule};
-use rand::counter::{half_to_unit, threefry4x64, CounterKey};
+use rand::counter::{half_to_unit, threefry4x64, CounterKey, LATTICE_SCALE};
 
 /// The hot-loop view of a decision rule. Implementations must be
 /// pure: `sends_to_zero` may depend only on its arguments and the
 /// kernel's construction-time parameters, never on mutable state, and
-/// must agree exactly with the rule's [`LocalRule::decide`] — the
-/// kernel tests cross-check this.
+/// must agree exactly with the rule's [`LocalRule::decide`] on the
+/// draws `input·2⁻³³` and `coin·2⁻³³` — the kernel tests cross-check
+/// this.
 pub(crate) trait Kernel: Sync {
     /// Whether `sends_to_zero` reads its `coin` argument. When
     /// `false` the lane runner never *generates* the coin plane —
@@ -43,20 +57,54 @@ pub(crate) trait Kernel: Sync {
     /// Number of players in the system.
     fn players(&self) -> usize;
 
-    /// True iff `player` sends its input to bin 0 on `(input, coin)`.
-    fn sends_to_zero(&self, player: usize, input: f64, coin: f64) -> bool;
+    /// True iff `player` sends its input to bin 0 when its input and
+    /// coin are the draws with lattice integers `input` and `coin`.
+    fn sends_to_zero(&self, player: usize, input: u64, coin: u64) -> bool;
+}
+
+/// `⌊x·2³³⌋`, saturated to `[0, u64::MAX]`: for every lattice integer
+/// `v ≥ 1`, `v·2⁻³³ ≤ x ⇔ v ≤ lattice_floor(x)`, and for `v = 0` too
+/// when `x ≥ 0`. A negative or NaN `x` maps to `0`, which no draw
+/// passes but an empty sum (`v = 0`) would, so callers that compare
+/// sums must accept only `x ≥ 0`.
+pub(crate) fn lattice_floor(x: f64) -> u64 {
+    (x * LATTICE_SCALE).floor() as u64
+}
+
+/// `⌈x·2³³⌉`, saturated to `[0, u64::MAX]`: for every lattice integer
+/// `v ≥ 0`, `v·2⁻³³ < x ⇔ v < lattice_ceil(x)`, negative `x` and NaN
+/// included (both map to `0`).
+pub(crate) fn lattice_ceil(x: f64) -> u64 {
+    (x * LATTICE_SCALE).ceil() as u64
+}
+
+/// The float draw `v·2⁻³³` of a lattice integer: exact, and equal bit
+/// for bit to [`half_to_unit`] of the half `v` came from.
+#[inline]
+pub(crate) fn lattice_to_unit(v: u64) -> f64 {
+    v as f64 / LATTICE_SCALE
+}
+
+/// The lattice integer of a float draw: the exact inverse of
+/// [`lattice_to_unit`] on draws (the scaled value is an integer below
+/// `2⁵³`). Scalar replays that read float draws with [`lane_draw`]
+/// use it to feed a [`Kernel`].
+pub(crate) fn unit_to_lattice(u: f64) -> u64 {
+    (u * LATTICE_SCALE) as u64
 }
 
 /// Fast path for [`decision::SingleThresholdAlgorithm`]-shaped rules:
-/// bin 0 iff `input ≤ thresholds[player]`, with the thresholds
-/// pre-converted to `f64` once per run.
+/// bin 0 iff `input ≤ thresholds[player]`, tested as
+/// `v ≤ ⌊threshold·2³³⌋` with the bounds computed once per run.
 pub(crate) struct ThresholdKernel {
-    thresholds: Vec<f64>,
+    bounds: Vec<u64>,
 }
 
 impl ThresholdKernel {
     pub(crate) fn new(thresholds: Vec<f64>) -> ThresholdKernel {
-        ThresholdKernel { thresholds }
+        ThresholdKernel {
+            bounds: thresholds.into_iter().map(lattice_floor).collect(),
+        }
     }
 }
 
@@ -64,25 +112,27 @@ impl Kernel for ThresholdKernel {
     const USES_COINS: bool = false;
 
     fn players(&self) -> usize {
-        self.thresholds.len()
+        self.bounds.len()
     }
 
     #[inline]
-    fn sends_to_zero(&self, player: usize, input: f64, _coin: f64) -> bool {
-        input <= self.thresholds[player]
+    fn sends_to_zero(&self, player: usize, input: u64, _coin: u64) -> bool {
+        input <= self.bounds[player]
     }
 }
 
 /// Fast path for [`decision::ObliviousAlgorithm`]-shaped rules: bin 0
-/// iff `coin < alpha[player]`, with the probabilities pre-converted
-/// to `f64` once per run.
+/// iff `coin < alpha[player]`, tested as `v < ⌈alpha·2³³⌉` with the
+/// bounds computed once per run.
 pub(crate) struct ObliviousKernel {
-    alpha: Vec<f64>,
+    bounds: Vec<u64>,
 }
 
 impl ObliviousKernel {
     pub(crate) fn new(alpha: Vec<f64>) -> ObliviousKernel {
-        ObliviousKernel { alpha }
+        ObliviousKernel {
+            bounds: alpha.into_iter().map(lattice_ceil).collect(),
+        }
     }
 }
 
@@ -90,20 +140,20 @@ impl Kernel for ObliviousKernel {
     const USES_COINS: bool = true;
 
     fn players(&self) -> usize {
-        self.alpha.len()
+        self.bounds.len()
     }
 
     #[inline]
-    fn sends_to_zero(&self, player: usize, _input: f64, coin: f64) -> bool {
-        coin < self.alpha[player]
+    fn sends_to_zero(&self, player: usize, _input: u64, coin: u64) -> bool {
+        coin < self.bounds[player]
     }
 }
 
 /// Fallback kernel for [`decision::KernelHint::Opaque`] rules: one
-/// [`LocalRule::decide`] call per decision, monomorphized over `R`
-/// when the rule type is concrete and a virtual call for
-/// `R = dyn LocalRule`. An opaque rule may read its coin, so the
-/// coin plane is always generated.
+/// [`LocalRule::decide`] call per decision on the rebuilt float draws,
+/// monomorphized over `R` when the rule type is concrete and a
+/// virtual call for `R = dyn LocalRule`. An opaque rule may read its
+/// coin, so the coin plane is always generated.
 pub(crate) struct GenericKernel<'a, R: LocalRule + ?Sized>(pub(crate) &'a R);
 
 impl<R: LocalRule + ?Sized> Kernel for GenericKernel<'_, R> {
@@ -114,8 +164,10 @@ impl<R: LocalRule + ?Sized> Kernel for GenericKernel<'_, R> {
     }
 
     #[inline]
-    fn sends_to_zero(&self, player: usize, input: f64, coin: f64) -> bool {
-        self.0.decide(player, input, coin) == Bin::Zero
+    fn sends_to_zero(&self, player: usize, input: u64, coin: u64) -> bool {
+        self.0
+            .decide(player, lattice_to_unit(input), lattice_to_unit(coin))
+            == Bin::Zero
     }
 }
 
@@ -149,7 +201,7 @@ pub(crate) enum DrawKind {
 /// collide.
 pub(crate) const KIND_SHIFT: u32 = 32;
 
-/// Uniforms per Threefry block and plane (stream v6): four 64-bit
+/// Uniforms per Threefry block and plane (since stream v6): four 64-bit
 /// words, two 32-bit halves each ([`half_to_unit`]).
 pub(crate) const DRAWS_PER_BLOCK: usize = 8;
 
@@ -181,19 +233,63 @@ pub(crate) fn lane_draw(
 mod tests {
     use super::*;
     use decision::{ObliviousAlgorithm, SingleThresholdAlgorithm};
+    use rand::counter::half_to_lattice;
     use rational::Rational;
 
-    /// Asserts `kernel` sends exactly the inputs `rule` puts in bin 0
-    /// on a grid straddling every threshold/probability boundary.
-    fn assert_matches_rule<K: Kernel>(kernel: &K, rule: &dyn LocalRule) {
+    /// An odd lattice integer in mid-range: a reachable draw.
+    const V0: i64 = 0x1_2345_6789;
+
+    /// `2³³`, the lattice scale as an integer.
+    const SCALE: i64 = 1 << 33;
+
+    /// Parameters on the lattice edges around the draw `V0·2⁻³³`:
+    /// exactly on it, one step `2⁻³³` either side (between two draws)
+    /// and half a step either side (where `⌊·⌋` and `⌈·⌉` differ),
+    /// plus dyadic and non-dyadic interior values and both ends.
+    fn edge_parameters() -> Vec<Rational> {
+        vec![
+            Rational::ratio(V0, SCALE),
+            Rational::ratio(V0 - 1, SCALE),
+            Rational::ratio(V0 + 1, SCALE),
+            Rational::ratio(2 * V0 - 1, 2 * SCALE),
+            Rational::ratio(2 * V0 + 1, 2 * SCALE),
+            Rational::ratio(1, 4),
+            Rational::ratio(1, 3),
+            Rational::ratio(5, 8),
+            Rational::zero(),
+            Rational::one(),
+        ]
+    }
+
+    /// The odd lattice integers within four steps of each boundary's
+    /// `x·2³³`, plus the two smallest and two largest draws.
+    fn draws_around(boundaries: &[f64]) -> Vec<u64> {
+        let top = (1u64 << 33) - 1;
+        let mut draws = vec![1, 3, top - 2, top];
+        for &x in boundaries {
+            let centre = (x * LATTICE_SCALE).floor() as i64;
+            draws.extend(
+                (centre - 4..=centre + 4)
+                    .filter(|v| v % 2 == 1 && (1..=top as i64).contains(v))
+                    .map(|v| v as u64),
+            );
+        }
+        draws
+    }
+
+    /// Asserts `kernel` sends exactly the draws `rule` puts in bin 0,
+    /// for every input and coin draw straddling each of `boundaries`.
+    fn assert_matches_rule<K: Kernel>(kernel: &K, rule: &dyn LocalRule, boundaries: &[f64]) {
         assert_eq!(kernel.players(), rule.n());
-        for &x in &[0.0, 0.2, 0.2499, 0.25, 0.26, 0.625, 0.74, 0.75, 0.99, 1.0] {
-            for &c in &[0.0, 0.2999, 0.3, 1.0 / 3.0, 0.5, 0.7499, 0.75, 1.0 - 1e-9] {
+        let draws = draws_around(boundaries);
+        for &x in &draws {
+            for &c in &draws {
                 for p in 0..rule.n() {
+                    let (input, coin) = (lattice_to_unit(x), lattice_to_unit(c));
                     assert_eq!(
                         kernel.sends_to_zero(p, x, c),
-                        rule.decide(p, x, c) == Bin::Zero,
-                        "player {p}, input {x}, coin {c}"
+                        rule.decide(p, input, coin) == Bin::Zero,
+                        "player {p}, input {input} (v = {x}), coin {coin} (v = {c})"
                     );
                 }
             }
@@ -202,31 +298,86 @@ mod tests {
 
     #[test]
     fn threshold_kernel_matches_rule_decisions() {
-        let rule = SingleThresholdAlgorithm::new(vec![
-            Rational::ratio(1, 4),
-            Rational::ratio(5, 8),
-            Rational::ratio(1, 1),
-        ])
-        .unwrap();
-        assert_matches_rule(&ThresholdKernel::new(rule.thresholds_f64()), &rule);
+        let rule = SingleThresholdAlgorithm::new(edge_parameters()).unwrap();
+        let thresholds = rule.thresholds_f64();
+        assert_matches_rule(
+            &ThresholdKernel::new(thresholds.clone()),
+            &rule,
+            &thresholds,
+        );
     }
 
     #[test]
     fn oblivious_kernel_matches_rule_decisions() {
-        let rule =
-            ObliviousAlgorithm::new(vec![Rational::ratio(1, 3), Rational::ratio(3, 4)]).unwrap();
-        assert_matches_rule(&ObliviousKernel::new(rule.probabilities_f64()), &rule);
+        let rule = ObliviousAlgorithm::new(edge_parameters()).unwrap();
+        let alpha = rule.probabilities_f64();
+        assert_matches_rule(&ObliviousKernel::new(alpha.clone()), &rule, &alpha);
     }
 
     #[test]
     fn generic_kernel_forwards_to_the_rule() {
-        let rule =
-            ObliviousAlgorithm::new(vec![Rational::ratio(3, 10), Rational::ratio(3, 4)]).unwrap();
-        assert_matches_rule(&GenericKernel(&rule), &rule);
+        let rule = ObliviousAlgorithm::new(edge_parameters()).unwrap();
+        let alpha = rule.probabilities_f64();
+        assert_matches_rule(&GenericKernel(&rule), &rule, &alpha);
         // And through a trait object, exercising the dyn instantiation.
         let dynamic: &dyn LocalRule = &rule;
-        assert_matches_rule(&GenericKernel(dynamic), &rule);
-        let rule = SingleThresholdAlgorithm::symmetric(3, Rational::ratio(5, 8)).unwrap();
-        assert_matches_rule(&GenericKernel(&rule), &rule);
+        assert_matches_rule(&GenericKernel(dynamic), &rule, &alpha);
+        let rule = SingleThresholdAlgorithm::new(edge_parameters()).unwrap();
+        let thresholds = rule.thresholds_f64();
+        assert_matches_rule(&GenericKernel(&rule), &rule, &thresholds);
+    }
+
+    #[test]
+    fn lattice_bounds_are_exact_floors_and_ceilings() {
+        let step = 1.0 / LATTICE_SCALE;
+        let on = V0 as f64 * step;
+        let v0 = V0 as u64;
+        // On a draw, a step either side of it, and half a step either
+        // side, where the floor and the ceiling differ.
+        assert_eq!((lattice_floor(on), lattice_ceil(on)), (v0, v0));
+        assert_eq!(lattice_floor(on - step), v0 - 1);
+        assert_eq!(lattice_ceil(on + step), v0 + 1);
+        assert_eq!(
+            (
+                lattice_floor(on - step / 2.0),
+                lattice_ceil(on - step / 2.0)
+            ),
+            (v0 - 1, v0)
+        );
+        assert_eq!(
+            (
+                lattice_floor(on + step / 2.0),
+                lattice_ceil(on + step / 2.0)
+            ),
+            (v0, v0 + 1)
+        );
+        // Ends of the unit interval and saturation outside it: no
+        // draw lies at or below a negative bound, every draw lies
+        // below a huge one.
+        assert_eq!((lattice_floor(0.0), lattice_ceil(0.0)), (0, 0));
+        assert_eq!((lattice_floor(1.0), lattice_ceil(1.0)), (1 << 33, 1 << 33));
+        assert_eq!((lattice_floor(-0.5), lattice_ceil(-0.5)), (0, 0));
+        assert_eq!(
+            (lattice_floor(-step / 2.0), lattice_ceil(-step / 2.0)),
+            (0, 0)
+        );
+        assert_eq!((lattice_floor(f64::NAN), lattice_ceil(f64::NAN)), (0, 0));
+        assert_eq!(lattice_floor(f64::INFINITY), u64::MAX);
+        assert_eq!(lattice_ceil(1e300), u64::MAX);
+    }
+
+    #[test]
+    fn lattice_conversions_round_trip_on_every_draw_shape() {
+        let key = CounterKey::from_seed(29);
+        for ctr in 0..2_000u64 {
+            for word in threefry4x64(&key, [ctr, 0, 0, 0]) {
+                for half in 0..2 {
+                    let v = half_to_lattice(word, half);
+                    let u = half_to_unit(word, half);
+                    assert_eq!(lattice_to_unit(v), u, "word {word:#x} half {half}");
+                    assert_eq!(unit_to_lattice(u), v, "word {word:#x} half {half}");
+                }
+            }
+        }
     }
 }

@@ -15,7 +15,9 @@
 //! `(seed, batch, trial, kind, player)`.
 
 use crate::engine::{lane_key, DEFAULT_BATCH_SIZE};
-use crate::kernel::{lane_draw, DrawKind, GenericKernel, Kernel, ObliviousKernel, ThresholdKernel};
+use crate::kernel::{
+    lane_draw, unit_to_lattice, DrawKind, GenericKernel, Kernel, ObliviousKernel, ThresholdKernel,
+};
 use crate::SimulationReport;
 use decision::{KernelHint, LocalRule};
 
@@ -23,7 +25,8 @@ use decision::{KernelHint, LocalRule};
 #[derive(Clone, Debug, PartialEq)]
 pub struct LoadStats {
     /// The headline win-rate estimate; bit-identical to
-    /// [`Simulation::run`] at the same `(rule, delta, trials, seed)`.
+    /// [`Simulation::run`](crate::Simulation::run) at the same
+    /// `(rule, delta, trials, seed)`.
     pub report: SimulationReport,
     /// Mean load placed in each bin per round.
     pub mean_load: [f64; 2],
@@ -106,10 +109,10 @@ pub fn load_stats(rule: &dyn LocalRule, delta: f64, trials: u64, seed: u64) -> L
 /// here even for rules that ignore them — the engine skips
 /// generating that plane, but the draws exist in the addressed
 /// stream and a coin-blind `decide` returns the same bin either way.
-/// Branchy accumulation here matches the lane kernel's masked
-/// accumulation bit-for-bit (masks are exactly `0.0`/`1.0` and
-/// adding `+0.0` to a non-negative sum is identity), so `report`
-/// equals [`Simulation::run`] on any lane width.
+/// The kernel decides on each draw's lattice integer, as in the
+/// engine; the loads are summed in `f64`, which is exact for lattice
+/// draws, so the win test here agrees with the engine's integer one
+/// and `report` equals [`Simulation::run`] on any lane width.
 ///
 /// [`Simulation::run`]: crate::Simulation::run
 fn collect_loads_lane<K: Kernel>(
@@ -130,7 +133,9 @@ fn collect_loads_lane<K: Kernel>(
             for player in 0..n {
                 let input = lane_draw(&key, batch, trial, DrawKind::Input, player);
                 let coin = lane_draw(&key, batch, trial, DrawKind::Coin, player);
-                let bin = usize::from(!kernel.sends_to_zero(player, input, coin));
+                let zero =
+                    kernel.sends_to_zero(player, unit_to_lattice(input), unit_to_lattice(coin));
+                let bin = usize::from(!zero);
                 sums[bin] += input;
                 acc.occupancy[bin] += 1;
             }

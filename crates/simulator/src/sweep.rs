@@ -48,8 +48,9 @@ fn point_seed(seed: u64, k: u64) -> u64 {
 /// Sweeps the common threshold `β` over a uniform grid, estimating the
 /// winning probability at each point with `trials` rounds.
 ///
-/// Uses a fixed seed per grid point derived from `(seed, k)` (see the
-/// [module docs](self)), so the whole sweep is reproducible. One
+/// Uses a fixed seed per grid point derived from `(seed, k)` (the
+/// `k`-th output of a SplitMix64 generator seeded with `seed`), so
+/// the whole sweep is reproducible. One
 /// engine (and hence one worker pool) serves every grid point —
 /// thread start-up is paid once for the whole curve, while each point
 /// still runs on its own deterministic stream via

@@ -5,7 +5,8 @@
 //! draws and added an opaque golden). Stream v6 reads two 32-bit
 //! uniforms from every Threefry word, which moves every draw, so the
 //! engine goldens below were re-pinned at v6; the raw Threefry block
-//! golden is unchanged.
+//! golden is unchanged. Stream v7 draws exactly v6's and decides on
+//! their lattice integers, so every v6 golden holds unchanged at v7.
 //!
 //! The golden values below are **self-pinned fixtures**: they were
 //! produced by this implementation and exist to detect silent stream
@@ -29,10 +30,12 @@ fn rule() -> ObliviousAlgorithm {
 }
 
 #[test]
-fn stream_version_is_six() {
-    // v6 maps each Threefry word to two uniforms: the engine fixtures
-    // below are v6 fixtures, while the raw block golden is the v3 one.
-    assert_eq!(RNG_STREAM_VERSION, 6);
+fn stream_version_is_seven() {
+    // v6 maps each Threefry word to two uniforms and v7 decides on
+    // them as integers without moving a draw: the engine fixtures
+    // below are v6 fixtures that hold at v7, while the raw block
+    // golden is the v3 one.
+    assert_eq!(RNG_STREAM_VERSION, 7);
 }
 
 #[test]

@@ -127,16 +127,6 @@ impl<S: Scalar> EvalContext<S> {
         self.binomials[n][k as usize].clone()
     }
 
-    /// The falling factorial `n · (n−1) ⋯ (n−k+1)` (`k` terms), via
-    /// the cached identity `n!/(n−k)! = C(n, k) · k!`. Zero when
-    /// `k > n`.
-    pub fn falling_factorial(&mut self, n: u32, k: u32) -> S {
-        if k > n {
-            return S::zero();
-        }
-        self.binomial(n, k) * self.factorial(k)
-    }
-
     /// Memoized Irwin–Hall CDF `F_m(t)` (Corollary 2.6).
     ///
     /// Cache granularity is a whole `(n, t)` table, because the
@@ -151,7 +141,7 @@ impl<S: Scalar> EvalContext<S> {
     /// values at `t`.
     ///
     /// On a miss the table is computed once and stored; at most
-    /// [`IH_TABLE_CAP`] tables are kept, evicted first-in-first-out.
+    /// `IH_TABLE_CAP` (32) tables are kept, evicted first-in-first-out.
     /// A larger cached table serves a smaller `n` from its prefix,
     /// bit-identical to a fresh smaller table.
     pub fn irwin_hall_cdf_table(&mut self, n: u32, t: &S) -> Vec<S> {
@@ -192,15 +182,6 @@ mod tests {
                 assert_eq!(ctx.binomial(n, k), binomial_rational(n, k), "C({n},{k})");
             }
         }
-    }
-
-    #[test]
-    fn falling_factorial_values() {
-        let mut ctx = EvalContext::<Rational>::new();
-        // 5·4·3 = 60; empty product is 1; k > n vanishes.
-        assert_eq!(ctx.falling_factorial(5, 3), Rational::integer(60));
-        assert_eq!(ctx.falling_factorial(5, 0), Rational::one());
-        assert_eq!(ctx.falling_factorial(3, 4), Rational::zero());
     }
 
     #[test]

@@ -424,7 +424,8 @@ const ALLOC_METHODS: &[&str] = &["collect", "clone", "to_vec", "to_owned"];
 /// depends on: the lane batch runner, the kernel methods it calls per
 /// trial (including a rule's own `decide`, which the opaque fallback
 /// calls per decision), and the counter pipeline (the Threefry
-/// ladder, its unit conversion, and the per-draw replay accessor).
+/// ladder, its float and lattice-integer conversions, and the
+/// per-draw replay accessor).
 /// These execute per trial or per lane group; one stray allocation
 /// there undoes the monomorphization win. The lane batch runner has
 /// no cold spot at all: it consumes each Threefry block in registers
@@ -433,7 +434,12 @@ fn is_hot_path(f: &FnView<'_>) -> bool {
     f.item.name == "run_lane_batch"
         || matches!(
             f.item.name.as_str(),
-            "threefry4x64_lanes" | "threefry4x64" | "half_to_unit" | "lane_draw"
+            "threefry4x64_lanes"
+                | "threefry4x64"
+                | "half_to_unit"
+                | "half_to_lattice"
+                | "lattice_to_unit"
+                | "lane_draw"
         )
         || (!f.is_free && matches!(f.item.name.as_str(), "decide" | "players" | "sends_to_zero"))
 }

@@ -49,6 +49,7 @@ pub const CRITICAL_FNS: &[(&str, &str)] = &[
     ("crates/rand/src/lib.rs", "threefry4x64_lanes"),
     ("crates/rand/src/lib.rs", "threefry4x64"),
     ("crates/rand/src/lib.rs", "half_to_unit"),
+    ("crates/rand/src/lib.rs", "half_to_lattice"),
     ("crates/simulator/src/engine.rs", "splitmix"),
     ("crates/simulator/src/engine.rs", "lane_key"),
     ("crates/simulator/src/engine.rs", "run_lane_batch"),

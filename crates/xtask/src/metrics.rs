@@ -244,7 +244,7 @@ mod tests {
         let path = crate::repo_root().join("results/engine_metrics.json");
         if let Ok(text) = std::fs::read_to_string(path) {
             let summary = validate_metrics_document(&text).expect("committed artifact");
-            assert_eq!(summary.rng_stream_version, 6);
+            assert_eq!(summary.rng_stream_version, 7);
         }
     }
 }

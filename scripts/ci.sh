@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # The full local gate: the steps of .github/workflows/ci.yml, in its
 # order:
-#   fmt -> static analyzer -> clippy -> examples build -> tests
+#   fmt -> static analyzer -> clippy -> rustdoc -> examples build -> tests
 #   -> doc-tests -> tests with hard invariants -> benchmark-harness tests
 #   -> bench smoke -> bench check
 #   -> metrics smoke -> chaos smoke -> shard smoke -> service smoke
@@ -18,6 +18,11 @@ cargo run --package xtask --quiet -- analyze
 
 echo "==> cargo clippy"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc (rustdoc warnings are errors)"
+# Broken or private intra-doc links fail here rather than rendering
+# as dead text.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> cargo build (examples)"
 cargo build --workspace --examples
