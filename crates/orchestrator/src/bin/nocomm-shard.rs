@@ -4,8 +4,9 @@
 //!
 //! * `run` — execute one shard of a sweep as a worker process,
 //!   checkpointing after every point and then printing one progress
-//!   line to stdout (the mode [`orchestrator::run_sweep`] spawns; the
-//!   lines are how the coordinator tells progress from a hang).
+//!   line to stdout (the mode [`orchestrator::run_sweep_with_metrics`]
+//!   spawns; the lines are how the coordinator tells progress from a
+//!   hang).
 //!   `--fault` injects a deterministic crash, stall, or
 //!   corrupt-output fault for chaos testing.
 //! * `sweep` — act as the coordinator: split the grid, spawn workers

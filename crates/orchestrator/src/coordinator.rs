@@ -10,7 +10,7 @@
 use crate::chaos::ProcChaosPlan;
 use crate::error::OrchestratorError;
 use crate::plan::{split_grid, ShardSpec};
-use obs::{MetricsSink, NoopSink};
+use obs::MetricsSink;
 use simulator::{keys, SweepCheckpoint};
 use std::io::Read;
 use std::path::PathBuf;
@@ -56,9 +56,9 @@ impl WorkerSpec {
     }
 }
 
-/// Tuning for [`run_sweep`]: shard count, scratch directory, worker
-/// launch spec, and the supervision knobs (deadline, stall detection,
-/// respawn budget, backoff).
+/// Tuning for [`run_sweep_with_metrics`]: shard count, scratch
+/// directory, worker launch spec, and the supervision knobs (deadline,
+/// stall detection, respawn budget, backoff).
 ///
 /// Supervision is event-driven, so there is no polling interval: the
 /// coordinator wakes when a worker prints a progress line or exits,
@@ -192,8 +192,10 @@ struct ShardTask {
 /// Runs `request` — a whole-grid sweep description with no results
 /// yet — as `config.shards` worker processes and merges their shard
 /// checkpoints into the byte-identical whole-grid checkpoint a single
-/// uninterrupted process would have written. See the crate docs for
-/// the supervision contract.
+/// uninterrupted process would have written. The supervision ledger
+/// (`shard.*` counters and the `shard.span_ns` histogram) flows into
+/// `sink`; pass an [`obs::NoopSink`] to discard it. See the crate docs
+/// for the supervision contract.
 ///
 /// # Errors
 ///
@@ -204,19 +206,6 @@ struct ShardTask {
 /// checkpoint and filesystem failures.
 ///
 /// [`Io`]: OrchestratorError::Io
-pub fn run_sweep(
-    request: &SweepCheckpoint,
-    config: &OrchestratorConfig,
-) -> Result<SweepCheckpoint, OrchestratorError> {
-    run_sweep_with_metrics(request, config, Arc::new(NoopSink))
-}
-
-/// [`run_sweep`] with the supervision ledger (`shard.*` counters and
-/// the `shard.span_ns` histogram) flowing into `sink`.
-///
-/// # Errors
-///
-/// As for [`run_sweep`].
 pub fn run_sweep_with_metrics(
     request: &SweepCheckpoint,
     config: &OrchestratorConfig,
@@ -672,6 +661,7 @@ fn kill_all(tasks: &mut [ShardTask], sink: &dyn MetricsSink) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::NoopSink;
 
     fn request() -> SweepCheckpoint {
         SweepCheckpoint::new(2, 1.0, 4, 1_000, 7)
@@ -717,7 +707,7 @@ mod tests {
             ),
         ];
         for (req, cfg, needle) in cases {
-            let err = run_sweep(&req, &cfg).unwrap_err();
+            let err = run_sweep_with_metrics(&req, &cfg, Arc::new(NoopSink)).unwrap_err();
             let OrchestratorError::InvalidConfig { message } = err else {
                 panic!("expected InvalidConfig, got {err}");
             };
@@ -729,7 +719,7 @@ mod tests {
     fn foreign_stream_versions_never_reach_a_worker() {
         let mut req = request();
         req.rng_stream_version += 1;
-        let err = run_sweep(&req, &config(1)).unwrap_err();
+        let err = run_sweep_with_metrics(&req, &config(1), Arc::new(NoopSink)).unwrap_err();
         assert!(
             matches!(err, OrchestratorError::InvalidConfig { .. }),
             "{err}"
@@ -740,7 +730,7 @@ mod tests {
     fn requests_carrying_results_are_rejected() {
         let mut req = request();
         req.wins.push(3);
-        let err = run_sweep(&req, &config(1)).unwrap_err();
+        let err = run_sweep_with_metrics(&req, &config(1), Arc::new(NoopSink)).unwrap_err();
         assert!(
             matches!(err, OrchestratorError::InvalidConfig { .. }),
             "{err}"
@@ -752,7 +742,7 @@ mod tests {
         let dir = std::env::temp_dir().join("nocomm-orch-spawnfail");
         std::fs::remove_dir_all(&dir).ok();
         let cfg = OrchestratorConfig::new(2, &dir, WorkerSpec::new("/nonexistent/worker"));
-        let err = run_sweep(&request(), &cfg).unwrap_err();
+        let err = run_sweep_with_metrics(&request(), &cfg, Arc::new(NoopSink)).unwrap_err();
         assert!(
             matches!(err, OrchestratorError::Spawn { shard: 0, .. }),
             "{err}"

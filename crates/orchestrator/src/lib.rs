@@ -11,9 +11,9 @@
 //!
 //! 1. [`split_grid`] cuts the `grid + 1` points into contiguous
 //!    [`ShardSpec`] slices.
-//! 2. [`run_sweep`] spawns one worker process per shard (any binary
-//!    honoring the `nocomm-shard run` CLI, normally `nocomm-shard`
-//!    itself) and supervises them: per-shard deadlines, stall
+//! 2. [`run_sweep_with_metrics`] spawns one worker process per shard
+//!    (any binary honoring the `nocomm-shard run` CLI, normally
+//!    `nocomm-shard` itself) and supervises them: per-shard deadlines, stall
 //!    detection, `SIGKILL` for hung workers, and re-issue with a
 //!    capped exponential backoff under a respawn budget when a worker
 //!    dies, stalls, or hands back a corrupt file. Supervision is
@@ -39,8 +39,8 @@
 //! stall forever, or corrupt its output), so every chaotic run can be
 //! reproduced from its seed.
 //!
-//! The supervision ledger flows into any
-//! [`obs::MetricsSink`] under the `shard.*` keys
+//! The supervision ledger flows into the [`obs::MetricsSink`] passed to
+//! [`run_sweep_with_metrics`] under the `shard.*` keys
 //! (`issued`/`completed`/`reissued`/`killed`/`corrupt` counters and a
 //! `span_ns` histogram; see [`simulator::keys`]).
 
@@ -52,6 +52,6 @@ mod error;
 mod plan;
 
 pub use chaos::{ProcChaosPlan, ProcFault};
-pub use coordinator::{run_sweep, run_sweep_with_metrics, OrchestratorConfig, WorkerSpec};
+pub use coordinator::{run_sweep_with_metrics, OrchestratorConfig, WorkerSpec};
 pub use error::OrchestratorError;
 pub use plan::{split_grid, ShardSpec};

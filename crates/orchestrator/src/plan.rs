@@ -20,7 +20,8 @@ pub struct ShardSpec {
 /// # Panics
 ///
 /// Panics if `shards` is zero or exceeds `grid + 1` (every shard must
-/// cover at least one point); [`run_sweep`](crate::run_sweep) rejects
+/// cover at least one point);
+/// [`run_sweep_with_metrics`](crate::run_sweep_with_metrics) rejects
 /// such configurations with a typed error before planning.
 #[must_use]
 pub fn split_grid(grid: usize, shards: usize) -> Vec<ShardSpec> {

@@ -3,9 +3,10 @@
 //! corrupt output — and the merged sweep must still be *byte*-identical
 //! to what a single uninterrupted process produces.
 
+use obs::NoopSink;
 use orchestrator::{
-    run_sweep, run_sweep_with_metrics, OrchestratorConfig, OrchestratorError, ProcChaosPlan,
-    ProcFault, WorkerSpec,
+    run_sweep_with_metrics, OrchestratorConfig, OrchestratorError, ProcChaosPlan, ProcFault,
+    WorkerSpec,
 };
 use simulator::{sweep_threshold_checkpointed, EngineMetrics, SweepCheckpoint};
 use std::path::PathBuf;
@@ -65,7 +66,9 @@ fn fault_free_orchestration_is_bit_identical_to_one_process() {
     let scratch = Scratch::new("fault-free");
     let baseline = single_process_document(&scratch);
     for shards in [1, 2, 3, 6] {
-        let merged = run_sweep(&request(), &config(&scratch, shards)).unwrap();
+        let merged =
+            run_sweep_with_metrics(&request(), &config(&scratch, shards), Arc::new(NoopSink))
+                .unwrap();
         assert_eq!(
             merged.to_json(),
             baseline,
@@ -113,7 +116,7 @@ fn seeded_chaos_plans_replay_and_always_merge_bit_identically() {
         let mut cfg = config(&scratch, 3);
         cfg.respawn_budget = 3;
         cfg.chaos = Some(plan);
-        let merged = run_sweep(&request(), &cfg).unwrap();
+        let merged = run_sweep_with_metrics(&request(), &cfg, Arc::new(NoopSink)).unwrap();
         assert_eq!(
             merged.to_json(),
             baseline,
@@ -136,14 +139,14 @@ fn a_restarted_coordinator_adopts_surviving_shard_files() {
             .inject(1, 0, ProcFault::Kill { after: 1 })
             .inject(2, 0, ProcFault::Kill { after: 1 }),
     );
-    let merged = run_sweep(&request(), &cfg).unwrap();
+    let merged = run_sweep_with_metrics(&request(), &cfg, Arc::new(NoopSink)).unwrap();
     assert_eq!(merged.to_json(), baseline);
     // ...and a second coordinator over the same directory finds the
     // complete shard files and merges without spawning anything: a
     // worker path that cannot execute proves no process was needed.
     let mut second = config(&scratch, 3);
     second.worker = WorkerSpec::new("/nonexistent/worker");
-    let merged = run_sweep(&request(), &second).unwrap();
+    let merged = run_sweep_with_metrics(&request(), &second, Arc::new(NoopSink)).unwrap();
     assert_eq!(merged.to_json(), baseline);
 }
 
@@ -158,7 +161,7 @@ fn a_shard_that_always_crashes_exhausts_its_budget() {
             .inject(1, 0, ProcFault::Kill { after: 0 })
             .inject(1, 1, ProcFault::Kill { after: 0 }),
     );
-    let err = run_sweep(&request(), &cfg).unwrap_err();
+    let err = run_sweep_with_metrics(&request(), &cfg, Arc::new(NoopSink)).unwrap_err();
     let OrchestratorError::ShardExhausted { shard, attempts } = err else {
         panic!("expected ShardExhausted, got {err}");
     };
@@ -215,7 +218,7 @@ fn worker_exits_wake_the_supervisor_before_any_timer() {
     cfg.stall_timeout = Duration::from_mins(1);
     cfg.shard_deadline = Duration::from_mins(2);
     let start = std::time::Instant::now();
-    let merged = run_sweep(&request(), &cfg).unwrap();
+    let merged = run_sweep_with_metrics(&request(), &cfg, Arc::new(NoopSink)).unwrap();
     let elapsed = start.elapsed();
     assert_eq!(merged.to_json(), baseline);
     assert!(elapsed < Duration::from_secs(20), "took {elapsed:?}");

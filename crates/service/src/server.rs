@@ -154,6 +154,20 @@ impl Shared {
         response
     }
 
+    /// Rejects a sweep `grid` below 2 or above this daemon's limit.
+    fn check_grid(&self, grid: usize) -> Result<(), String> {
+        if grid < 2 {
+            return Err(format!("grid must be at least 2, found {grid}"));
+        }
+        if grid > self.config.max_grid {
+            return Err(format!(
+                "grid {grid} exceeds this daemon's limit of {}",
+                self.config.max_grid
+            ));
+        }
+        Ok(())
+    }
+
     #[allow(clippy::too_many_lines)] // one block per request kind; the flow reads top to bottom
     fn outcome(&self, request: &Request) -> Result<Outcome, String> {
         match request {
@@ -176,15 +190,7 @@ impl Shared {
                 })
             }
             Request::Sweep { n, delta, grid } => {
-                if *grid < 2 {
-                    return Err(format!("grid must be at least 2, found {grid}"));
-                }
-                if *grid > self.config.max_grid {
-                    return Err(format!(
-                        "grid {grid} exceeds this daemon's limit of {}",
-                        self.config.max_grid
-                    ));
-                }
+                self.check_grid(*grid)?;
                 let cost = (*grid as u128 + 1) * (*n as u128).pow(3);
                 let budget = (self.config.max_grid as u128 + 1) * SWEEP_BUDGET_PLAYERS.pow(3);
                 if cost > budget {
@@ -215,15 +221,7 @@ impl Shared {
                             .to_owned(),
                     );
                 };
-                if *grid < 2 {
-                    return Err(format!("grid must be at least 2, found {grid}"));
-                }
-                if *grid > self.config.max_grid {
-                    return Err(format!(
-                        "grid {grid} exceeds this daemon's limit of {}",
-                        self.config.max_grid
-                    ));
-                }
+                self.check_grid(*grid)?;
                 let total = trials.checked_mul(*grid as u64 + 1).unwrap_or(u64::MAX);
                 if *trials == 0 || total > self.config.max_trials {
                     return Err(format!(

@@ -67,9 +67,6 @@ pub use omniscient::full_information_win_rate;
 pub use report::SimulationReport;
 pub use stats::{load_stats, LoadStats};
 pub use sweep::{
-    resume_sweep, resume_sweep_with_metrics, sweep_threshold, sweep_threshold_analytic,
-    sweep_threshold_analytic_with_metrics, sweep_threshold_checkpointed,
-    sweep_threshold_checkpointed_with_metrics, sweep_threshold_shard,
-    sweep_threshold_shard_with_metrics, sweep_threshold_with_engine, sweep_threshold_with_metrics,
-    AnalyticSweepPoint, ShardSweep, SweepPoint,
+    resume_sweep, sweep_threshold, sweep_threshold_analytic, sweep_threshold_checkpointed,
+    sweep_threshold_shard, sweep_threshold_with_engine, AnalyticSweepPoint, ShardSweep, SweepPoint,
 };

@@ -102,7 +102,7 @@ pub mod keys {
     pub const POOL_IDLE_NS: &str = "pool.idle_ns";
     /// Per-job busy time in nanoseconds (histogram).
     pub const POOL_JOB_SPAN_NS: &str = "pool.job_ns";
-    /// Grid points evaluated by `sweep_threshold*` (counter).
+    /// Grid points evaluated by Monte-Carlo sweeps (counter).
     pub const SWEEP_POINTS: &str = "sweep.points";
     /// Checkpoint files written (atomic write-rename per completed
     /// grid point) by checkpointed sweeps (counter).
@@ -130,11 +130,6 @@ pub mod keys {
     /// Wall-clock nanoseconds from a shard's first issue to its
     /// accepted completion, respawns included (histogram).
     pub const SHARD_SPAN_NS: &str = "shard.span_ns";
-    /// `EvalContext` Irwin–Hall table lookups served from cache
-    /// (counter).
-    pub const MEMO_HITS: &str = "analytic.memo_hits";
-    /// `EvalContext` Irwin–Hall tables computed on a miss (counter).
-    pub const MEMO_MISSES: &str = "analytic.memo_misses";
 }
 
 /// The typed sink for engine workloads: one atomic cell per key in
@@ -169,8 +164,6 @@ pub struct EngineMetrics {
     shard_reissued: Counter,
     shard_killed: Counter,
     shard_corrupt: Counter,
-    memo_hits: Counter,
-    memo_misses: Counter,
     pool_job_ns: Histogram,
     sweep_point_ns: Histogram,
     shard_span_ns: Histogram,
@@ -216,8 +209,6 @@ impl EngineMetrics {
             shard_reissued: self.shard_reissued.get(),
             shard_killed: self.shard_killed.get(),
             shard_corrupt: self.shard_corrupt.get(),
-            memo_hits: self.memo_hits.get(),
-            memo_misses: self.memo_misses.get(),
             pool_job_ns: self.pool_job_ns.snapshot(),
             sweep_point_ns: self.sweep_point_ns.snapshot(),
             shard_span_ns: self.shard_span_ns.snapshot(),
@@ -253,8 +244,6 @@ impl EngineMetrics {
             keys::SHARD_REISSUED => &self.shard_reissued,
             keys::SHARD_KILLED => &self.shard_killed,
             keys::SHARD_CORRUPT => &self.shard_corrupt,
-            keys::MEMO_HITS => &self.memo_hits,
-            keys::MEMO_MISSES => &self.memo_misses,
             _ => return None,
         })
     }
@@ -316,7 +305,7 @@ pub struct MetricsSnapshot {
     pub pool_busy_ns: u64,
     /// Total nanoseconds pool workers spent parked on the job queue.
     pub pool_idle_ns: u64,
-    /// Grid points evaluated by `sweep_threshold*`.
+    /// Grid points evaluated by Monte-Carlo sweeps.
     pub sweep_points: u64,
     /// Checkpoint files written by checkpointed sweeps.
     pub sweep_checkpoint_writes: u64,
@@ -332,10 +321,6 @@ pub struct MetricsSnapshot {
     pub shard_killed: u64,
     /// Corrupt or mismatched shard checkpoints detected.
     pub shard_corrupt: u64,
-    /// `EvalContext` Irwin–Hall lookups served from cache.
-    pub memo_hits: u64,
-    /// `EvalContext` Irwin–Hall tables computed on a miss.
-    pub memo_misses: u64,
     /// Distribution of per-job pool busy times (nanoseconds).
     pub pool_job_ns: HistogramSnapshot,
     /// Distribution of per-grid-point sweep times (nanoseconds).
@@ -375,8 +360,6 @@ impl MetricsSnapshot {
             (keys::SHARD_REISSUED, self.shard_reissued),
             (keys::SHARD_KILLED, self.shard_killed),
             (keys::SHARD_CORRUPT, self.shard_corrupt),
-            (keys::MEMO_HITS, self.memo_hits),
-            (keys::MEMO_MISSES, self.memo_misses),
         ]
     }
 
@@ -493,7 +476,7 @@ mod tests {
         }
         // ...and the snapshot reflects each increment exactly once.
         assert!(m.snapshot().counters().iter().all(|(_, v)| *v == 1));
-        assert_eq!(listed.len(), 28);
+        assert_eq!(listed.len(), 26);
     }
 
     #[test]

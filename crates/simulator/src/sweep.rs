@@ -54,7 +54,9 @@ fn point_seed(seed: u64, k: u64) -> u64 {
 /// engine (and hence one worker pool) serves every grid point —
 /// thread start-up is paid once for the whole curve, while each point
 /// still runs on its own deterministic stream via
-/// [`Simulation::reseeded`].
+/// [`Simulation::reseeded`]. To meter a sweep, or to change its
+/// threads, chaos plan or deadline, build the engine yourself and use
+/// [`sweep_threshold_with_engine`].
 ///
 /// # Errors
 ///
@@ -84,34 +86,7 @@ pub fn sweep_threshold(
     trials: u64,
     seed: u64,
 ) -> Result<Vec<SweepPoint>, ModelError> {
-    sweep_threshold_with_metrics(n, delta, grid, trials, seed, Arc::new(NoopSink))
-}
-
-/// [`sweep_threshold`] with a metrics sink attached: the engine's
-/// run/RNG/pool counters flow into `sink`, plus one
-/// [`keys::SWEEP_POINTS`] count and one [`keys::SWEEP_POINT_SPAN_NS`]
-/// wall-clock sample per grid point.
-///
-/// The instrumentation is observational only — the points returned
-/// are bit-identical to [`sweep_threshold`] at the same arguments.
-///
-/// # Errors
-///
-/// Returns [`ModelError::TooFewPlayers`] if `n < 2`.
-///
-/// # Panics
-///
-/// Panics if `grid < 2` or `trials == 0`.
-pub fn sweep_threshold_with_metrics(
-    n: usize,
-    delta: f64,
-    grid: usize,
-    trials: u64,
-    seed: u64,
-    sink: Arc<dyn MetricsSink>,
-) -> Result<Vec<SweepPoint>, ModelError> {
-    let engine = Simulation::new(trials, seed).with_metrics(sink);
-    sweep_threshold_with_engine(&engine, n, delta, grid)
+    sweep_threshold_with_engine(&Simulation::new(trials, seed), n, delta, grid)
 }
 
 /// [`sweep_threshold`] over a caller-configured engine: the sweep
@@ -121,6 +96,11 @@ pub fn sweep_threshold_with_metrics(
 /// `(engine seed, k)`, so for any engine configuration the points are
 /// bit-identical to [`sweep_threshold`] at the same
 /// `(n, delta, grid, trials, seed)`.
+///
+/// An engine built with [`Simulation::with_metrics`] meters the sweep:
+/// its run/RNG/pool counters, plus one [`keys::SWEEP_POINTS`] count
+/// and one [`keys::SWEEP_POINT_SPAN_NS`] wall-clock sample per grid
+/// point.
 ///
 /// # Errors
 ///
@@ -139,30 +119,42 @@ pub fn sweep_threshold_with_engine(
     if n < 2 {
         return Err(ModelError::TooFewPlayers { n });
     }
+    (0..=grid)
+        .map(|k| sweep_point(engine, n, delta, grid, k))
+        .collect()
+}
+
+/// Runs grid point `k` of a `grid`-interval sweep on the engine's
+/// stream for that point, timing it as one
+/// [`keys::SWEEP_POINT_SPAN_NS`] sample and counting one
+/// [`keys::SWEEP_POINTS`] on the engine's sink.
+fn sweep_point(
+    engine: &Simulation,
+    n: usize,
+    delta: f64,
+    grid: usize,
+    k: usize,
+) -> Result<SweepPoint, ModelError> {
     let sink = engine.metrics_sink();
-    let seed = engine.seed();
-    let mut out = Vec::with_capacity(grid + 1);
-    for k in 0..=grid {
-        let span = SpanTimer::start(&*sink, keys::SWEEP_POINT_SPAN_NS);
-        let beta = Rational::ratio(k as i64, grid as i64);
-        let rule = SingleThresholdAlgorithm::symmetric(n, beta.clone())?;
-        let report = engine
-            .reseeded(point_seed(seed, k as u64))
-            .run(&rule, delta);
-        drop(span);
-        sink.add(keys::SWEEP_POINTS, 1);
-        out.push(SweepPoint {
-            x: beta.to_f64(),
-            report,
-        });
-    }
-    Ok(out)
+    let span = SpanTimer::start(&*sink, keys::SWEEP_POINT_SPAN_NS);
+    let beta = Rational::ratio(k as i64, grid as i64);
+    let rule = SingleThresholdAlgorithm::symmetric(n, beta.clone())?;
+    let report = engine
+        .reseeded(point_seed(engine.seed(), k as u64))
+        .run(&rule, delta);
+    drop(span);
+    sink.add(keys::SWEEP_POINTS, 1);
+    Ok(SweepPoint {
+        x: beta.to_f64(),
+        report,
+    })
 }
 
 /// [`sweep_threshold`] with `sweep-checkpoint/v1` durability: after
 /// every completed grid point the sweep state is atomically persisted
 /// to `path` (write to a sibling temp file, then rename), so a process
-/// killed mid-sweep can restart where it left off.
+/// killed mid-sweep can restart where it left off. It is
+/// [`sweep_threshold_shard`] over the whole grid.
 ///
 /// If `path` already holds a checkpoint for the **same** sweep
 /// parameters, its completed prefix is reused instead of recomputed —
@@ -170,18 +162,17 @@ pub fn sweep_threshold_with_engine(
 /// [`resume_sweep`]) finishes the sweep and returns the same
 /// `Vec<SweepPoint>` an uninterrupted run produces, point for point.
 /// A checkpoint for *different* parameters is rejected with
-/// [`SweepError::Mismatch`] rather than silently overwritten.
+/// [`SweepError::Mismatch`] rather than silently overwritten. To meter
+/// a checkpointed sweep, open it with [`ShardSweep::open_with_metrics`].
 ///
 /// # Errors
 ///
-/// Returns [`SweepError::Model`] for invalid sweep parameters,
-/// [`SweepError::Io`] if the checkpoint cannot be read or written, and
-/// [`SweepError::Corrupt`] / [`SweepError::Mismatch`] if an existing
-/// file is damaged or describes a different sweep.
-///
-/// # Panics
-///
-/// Panics if `grid < 2` or `trials == 0`.
+/// Returns [`SweepError::Corrupt`] for invalid sweep parameters
+/// (`n < 2`, `grid < 2`, `trials == 0` or a non-finite `delta`) and
+/// creates no file, [`SweepError::Io`] if the checkpoint cannot be
+/// read or written, and [`SweepError::Corrupt`] /
+/// [`SweepError::Mismatch`] if an existing file is damaged or
+/// describes a different sweep.
 ///
 /// # Examples
 ///
@@ -204,42 +195,7 @@ pub fn sweep_threshold_checkpointed(
     seed: u64,
     path: &Path,
 ) -> Result<Vec<SweepPoint>, SweepError> {
-    sweep_threshold_checkpointed_with_metrics(
-        n,
-        delta,
-        grid,
-        trials,
-        seed,
-        path,
-        Arc::new(NoopSink),
-    )
-}
-
-/// [`sweep_threshold_checkpointed`] with a metrics sink attached: the
-/// engine counters flow into `sink` as usual, plus one
-/// [`keys::SWEEP_CHECKPOINT_WRITES`] count per persisted point and a
-/// [`keys::SWEEP_RESUMED_POINTS`] count for grid points replayed from
-/// the checkpoint instead of recomputed.
-///
-/// # Errors
-///
-/// As [`sweep_threshold_checkpointed`].
-///
-/// # Panics
-///
-/// Panics if `grid < 2` or `trials == 0`.
-pub fn sweep_threshold_checkpointed_with_metrics(
-    n: usize,
-    delta: f64,
-    grid: usize,
-    trials: u64,
-    seed: u64,
-    path: &Path,
-    sink: Arc<dyn MetricsSink>,
-) -> Result<Vec<SweepPoint>, SweepError> {
-    assert!(grid >= 2, "need at least two grid points"); // xtask:allow(no-panic): documented precondition
-    let requested = SweepCheckpoint::new(n, delta, grid, trials, seed);
-    ShardSweep::open_with_metrics(requested, path, sink)?.run_to_completion()
+    sweep_threshold_shard(SweepCheckpoint::new(n, delta, grid, trials, seed), path)
 }
 
 /// Resumes (or replays) the sweep checkpointed at `path`: the sweep
@@ -256,28 +212,7 @@ pub fn sweep_threshold_checkpointed_with_metrics(
 /// stream version (its counts could not be reproduced for the
 /// remaining points).
 pub fn resume_sweep(path: &Path) -> Result<Vec<SweepPoint>, SweepError> {
-    resume_sweep_with_metrics(path, Arc::new(NoopSink))
-}
-
-/// [`resume_sweep`] with a metrics sink attached; instruments exactly
-/// as [`sweep_threshold_checkpointed_with_metrics`].
-///
-/// # Errors
-///
-/// As [`resume_sweep`].
-pub fn resume_sweep_with_metrics(
-    path: &Path,
-    sink: Arc<dyn MetricsSink>,
-) -> Result<Vec<SweepPoint>, SweepError> {
-    let ckpt = SweepCheckpoint::load(path)?;
-    if ckpt.rng_stream_version != crate::RNG_STREAM_VERSION {
-        return Err(SweepError::Mismatch {
-            field: "rng_stream_version",
-            expected: crate::RNG_STREAM_VERSION.to_string(),
-            found: ckpt.rng_stream_version.to_string(),
-        });
-    }
-    ShardSweep::from_checkpoint(ckpt, path.to_path_buf(), sink).run_to_completion()
+    sweep_threshold_shard(SweepCheckpoint::load(path)?, path)
 }
 
 /// Runs the shard sweep `requested` describes (a whole grid or one
@@ -295,19 +230,6 @@ pub fn sweep_threshold_shard(
     ShardSweep::open(requested, path)?.run_to_completion()
 }
 
-/// [`sweep_threshold_shard`] with a metrics sink attached.
-///
-/// # Errors
-///
-/// As [`ShardSweep::open`].
-pub fn sweep_threshold_shard_with_metrics(
-    requested: SweepCheckpoint,
-    path: &Path,
-    sink: Arc<dyn MetricsSink>,
-) -> Result<Vec<SweepPoint>, SweepError> {
-    ShardSweep::open_with_metrics(requested, path, sink)?.run_to_completion()
-}
-
 /// An in-progress checkpointed sweep over one shard of the grid (or
 /// the whole grid), advanced one point at a time.
 ///
@@ -323,7 +245,6 @@ pub struct ShardSweep {
     engine: Simulation,
     ckpt: SweepCheckpoint,
     path: PathBuf,
-    sink: Arc<dyn MetricsSink>,
 }
 
 impl std::fmt::Debug for ShardSweep {
@@ -352,8 +273,14 @@ impl ShardSweep {
         ShardSweep::open_with_metrics(requested, path, Arc::new(NoopSink))
     }
 
-    /// [`ShardSweep::open`] with a metrics sink attached; instruments
-    /// exactly as [`sweep_threshold_checkpointed_with_metrics`].
+    /// [`ShardSweep::open`] with a metrics sink attached: the sweep's
+    /// engine carries `sink`, so it receives the engine counters and
+    /// the per-point [`keys::SWEEP_POINTS`] count and
+    /// [`keys::SWEEP_POINT_SPAN_NS`] sample of
+    /// [`sweep_threshold_with_engine`], plus one
+    /// [`keys::SWEEP_CHECKPOINT_WRITES`] count per persisted point and
+    /// a [`keys::SWEEP_RESUMED_POINTS`] count for grid points replayed
+    /// from an existing checkpoint instead of recomputed.
     ///
     /// # Errors
     ///
@@ -378,26 +305,14 @@ impl ShardSweep {
         } else {
             requested
         };
-        Ok(ShardSweep::from_checkpoint(ckpt, path.to_path_buf(), sink))
-    }
-
-    /// Wraps an already-validated checkpoint, counting its completed
-    /// points as resumed.
-    fn from_checkpoint(
-        ckpt: SweepCheckpoint,
-        path: PathBuf,
-        sink: Arc<dyn MetricsSink>,
-    ) -> ShardSweep {
         if !ckpt.wins.is_empty() {
             sink.add(keys::SWEEP_RESUMED_POINTS, ckpt.wins.len() as u64);
         }
-        let engine = Simulation::new(ckpt.trials, ckpt.seed).with_metrics(Arc::clone(&sink));
-        ShardSweep {
-            engine,
+        Ok(ShardSweep {
+            engine: Simulation::new(ckpt.trials, ckpt.seed).with_metrics(sink),
             ckpt,
-            path,
-            sink,
-        }
+            path: path.to_path_buf(),
+        })
     }
 
     /// Grid points completed so far (including resumed ones).
@@ -432,19 +347,14 @@ impl ShardSweep {
         if offset >= self.ckpt.shard_points {
             return Ok(false);
         }
-        let k = self.ckpt.shard_start + offset;
-        let span = SpanTimer::start(&*self.sink, keys::SWEEP_POINT_SPAN_NS);
-        let beta = Rational::ratio(k as i64, self.ckpt.grid as i64);
-        let rule = SingleThresholdAlgorithm::symmetric(self.ckpt.n, beta)?;
-        let report = self
-            .engine
-            .reseeded(point_seed(self.ckpt.seed, k as u64))
-            .run(&rule, self.ckpt.delta);
-        drop(span);
-        self.sink.add(keys::SWEEP_POINTS, 1);
-        self.ckpt.wins.push(report.wins);
+        let ckpt = &self.ckpt;
+        let k = ckpt.shard_start + offset;
+        let point = sweep_point(&self.engine, ckpt.n, ckpt.delta, ckpt.grid, k)?;
+        self.ckpt.wins.push(point.report.wins);
         self.ckpt.write_atomic(&self.path)?;
-        self.sink.add(keys::SWEEP_CHECKPOINT_WRITES, 1);
+        self.engine
+            .metrics_sink()
+            .add(keys::SWEEP_CHECKPOINT_WRITES, 1);
         Ok(true)
     }
 
@@ -503,51 +413,21 @@ pub fn sweep_threshold_analytic(
     delta: f64,
     grid: usize,
 ) -> Result<Vec<AnalyticSweepPoint>, ModelError> {
-    sweep_threshold_analytic_with_metrics(n, delta, grid, &NoopSink)
-}
-
-/// [`sweep_threshold_analytic`] with a metrics sink attached: one
-/// [`keys::SWEEP_POINTS`] count and one [`keys::SWEEP_POINT_SPAN_NS`]
-/// sample per grid point, plus the shared [`EvalContext`]'s final
-/// memo-cache totals as [`keys::MEMO_HITS`] / [`keys::MEMO_MISSES`].
-///
-/// The instrumentation is observational only — the curve returned is
-/// identical to [`sweep_threshold_analytic`] at the same arguments.
-///
-/// # Errors
-///
-/// Returns [`ModelError::TooFewPlayers`] if `n < 2`.
-///
-/// # Panics
-///
-/// Panics if `grid < 2`.
-pub fn sweep_threshold_analytic_with_metrics(
-    n: usize,
-    delta: f64,
-    grid: usize,
-    sink: &dyn MetricsSink,
-) -> Result<Vec<AnalyticSweepPoint>, ModelError> {
     assert!(grid >= 2, "need at least two grid points"); // xtask:allow(no-panic): documented precondition
     if n < 2 {
         return Err(ModelError::TooFewPlayers { n });
     }
     let mut ctx = EvalContext::new();
-    let mut out = Vec::with_capacity(grid + 1);
-    for k in 0..=grid {
-        let span = SpanTimer::start(sink, keys::SWEEP_POINT_SPAN_NS);
-        let beta = k as f64 / grid as f64;
-        let thresholds = vec![beta; n];
-        let probability = winning_probability_threshold_in(&mut ctx, &thresholds, &delta)?;
-        drop(span);
-        sink.add(keys::SWEEP_POINTS, 1);
-        out.push(AnalyticSweepPoint {
-            x: beta,
-            probability,
-        });
-    }
-    sink.add(keys::MEMO_HITS, ctx.hits());
-    sink.add(keys::MEMO_MISSES, ctx.misses());
-    Ok(out)
+    (0..=grid)
+        .map(|k| {
+            let beta = k as f64 / grid as f64;
+            let probability = winning_probability_threshold_in(&mut ctx, &vec![beta; n], &delta)?;
+            Ok(AnalyticSweepPoint {
+                x: beta,
+                probability,
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -612,47 +492,14 @@ mod tests {
     fn metered_sweep_matches_plain_sweep_and_counts_points() {
         let metrics = Arc::new(crate::EngineMetrics::new());
         let plain = sweep_threshold(2, 1.0, 4, 5_000, 3).unwrap();
-        let metered = sweep_threshold_with_metrics(2, 1.0, 4, 5_000, 3, metrics.clone()).unwrap();
+        let engine = Simulation::new(5_000, 3).with_metrics(metrics.clone());
+        let metered = sweep_threshold_with_engine(&engine, 2, 1.0, 4).unwrap();
         assert_eq!(plain, metered);
         let snap = metrics.snapshot();
         assert_eq!(snap.sweep_points, 5);
         assert_eq!(snap.sweep_point_ns.count, 5);
         assert_eq!(snap.runs, 5);
         assert_eq!(snap.trials, 5 * 5_000);
-    }
-
-    #[test]
-    fn metered_analytic_sweep_counts_points_and_flushes_memo_totals() {
-        let metrics = crate::EngineMetrics::new();
-        let plain = sweep_threshold_analytic(3, 1.0, 16).unwrap();
-        let metered = sweep_threshold_analytic_with_metrics(3, 1.0, 16, &metrics).unwrap();
-        assert_eq!(plain, metered);
-        let snap = metrics.snapshot();
-        assert_eq!(snap.sweep_points, 17);
-        assert_eq!(snap.sweep_point_ns.count, 17);
-        // Theorem 5.1's threshold evaluation runs on the context's
-        // binomial cache alone — the Irwin–Hall table memo stays
-        // untouched, and the flushed totals must say so rather than
-        // invent traffic.
-        assert_eq!(snap.memo_hits, 0);
-        assert_eq!(snap.memo_misses, 0);
-    }
-
-    #[test]
-    fn memo_counters_flow_through_a_sink() {
-        // The memo traffic itself, observed through EngineMetrics: an
-        // oblivious-rule evaluation hits the Irwin–Hall table cache.
-        let metrics = crate::EngineMetrics::new();
-        let mut ctx = EvalContext::<f64>::new();
-        for _ in 0..3 {
-            let _ = decision::winning_probability_oblivious_in(&mut ctx, &[0.5, 0.5, 0.5], &1.0)
-                .unwrap();
-        }
-        metrics.add(keys::MEMO_HITS, ctx.hits());
-        metrics.add(keys::MEMO_MISSES, ctx.misses());
-        let snap = metrics.snapshot();
-        assert_eq!(snap.memo_misses, 1);
-        assert_eq!(snap.memo_hits, 2);
     }
 
     #[test]
@@ -739,7 +586,11 @@ mod tests {
         let scratch = ScratchFile::new("complete.json");
         let full = sweep_threshold_checkpointed(2, 1.0, 4, 5_000, 7, &scratch.0).unwrap();
         let metrics = Arc::new(crate::EngineMetrics::new());
-        let replayed = resume_sweep_with_metrics(&scratch.0, metrics.clone()).unwrap();
+        let requested = SweepCheckpoint::new(2, 1.0, 4, 5_000, 7);
+        let replayed = ShardSweep::open_with_metrics(requested, &scratch.0, metrics.clone())
+            .unwrap()
+            .run_to_completion()
+            .unwrap();
         assert_eq!(replayed, full);
         let snap = metrics.snapshot();
         assert_eq!(snap.sweep_resumed_points, 5, "all points replayed");
@@ -754,16 +605,11 @@ mod tests {
     fn checkpoint_writes_and_resumed_points_are_counted() {
         let scratch = ScratchFile::new("counted.json");
         let metrics = Arc::new(crate::EngineMetrics::new());
-        let full = sweep_threshold_checkpointed_with_metrics(
-            2,
-            1.0,
-            4,
-            5_000,
-            3,
-            &scratch.0,
-            metrics.clone(),
-        )
-        .unwrap();
+        let requested = SweepCheckpoint::new(2, 1.0, 4, 5_000, 3);
+        let full = ShardSweep::open_with_metrics(requested.clone(), &scratch.0, metrics.clone())
+            .unwrap()
+            .run_to_completion()
+            .unwrap();
         let snap = metrics.snapshot();
         assert_eq!(
             snap.sweep_checkpoint_writes, 5,
@@ -778,7 +624,10 @@ mod tests {
         prefix.wins.truncate(2);
         prefix.write_atomic(&scratch.0).unwrap();
         let metrics = Arc::new(crate::EngineMetrics::new());
-        let resumed = resume_sweep_with_metrics(&scratch.0, metrics.clone()).unwrap();
+        let resumed = ShardSweep::open_with_metrics(requested, &scratch.0, metrics.clone())
+            .unwrap()
+            .run_to_completion()
+            .unwrap();
         assert_eq!(resumed, full);
         let snap = metrics.snapshot();
         assert_eq!(snap.sweep_resumed_points, 2);
@@ -916,6 +765,22 @@ mod tests {
         let requested = SweepCheckpoint::shard(3, 1.0, 6, 5_000, 11, 5, 4);
         let err = ShardSweep::open(requested, &scratch.0).unwrap_err();
         assert!(matches!(err, SweepError::Corrupt { .. }), "{err}");
+    }
+
+    #[test]
+    fn grids_below_two_are_typed_errors_and_create_no_file() {
+        for grid in [0, 1] {
+            let scratch = ScratchFile::new(&format!("grid-{grid}.json"));
+            let err = sweep_threshold_checkpointed(2, 1.0, grid, 5_000, 3, &scratch.0).unwrap_err();
+            assert!(
+                matches!(&err, SweepError::Corrupt { message } if message.contains("grid")),
+                "grid {grid}: {err}"
+            );
+            assert!(
+                !scratch.0.exists(),
+                "grid {grid}: a rejected sweep wrote a file"
+            );
+        }
     }
 
     #[test]

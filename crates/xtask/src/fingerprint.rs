@@ -33,9 +33,9 @@ const VERSION_FILE: &str = "crates/simulator/src/engine.rs";
 /// `(path, qualified fn)` pairs whose token streams determine the RNG
 /// stream: the generator cores (the sequential xoshiro generator the
 /// seeded samplers outside the engine draw from, and the Threefry
-/// counter pipeline), the seed derivation and keying, the lane loop
-/// (which computes its counter blocks itself), and the scalar draw
-/// replay. Growing this list is cheap; every entry is one more
+/// counter pipeline), the seed derivation and keying (including each
+/// sweep grid point's seed), the lane loop (which computes its counter
+/// blocks itself), and the scalar draw replay. Growing this list is cheap; every entry is one more
 /// function that cannot drift silently.
 pub const CRITICAL_FNS: &[(&str, &str)] = &[
     ("crates/rand/src/lib.rs", "splitmix64"),
@@ -54,6 +54,7 @@ pub const CRITICAL_FNS: &[(&str, &str)] = &[
     ("crates/simulator/src/engine.rs", "lane_key"),
     ("crates/simulator/src/engine.rs", "run_lane_batch"),
     ("crates/simulator/src/kernel.rs", "lane_draw"),
+    ("crates/simulator/src/sweep.rs", "point_seed"),
 ];
 
 /// A computed fingerprint: the stream version plus one token hash per

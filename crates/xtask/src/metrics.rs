@@ -41,8 +41,6 @@ pub const REQUIRED_COUNTERS: &[&str] = &[
     "shard.reissued",
     "shard.killed",
     "shard.corrupt",
-    "analytic.memo_hits",
-    "analytic.memo_misses",
 ];
 
 /// Histogram keys an `engine-metrics/v1` document must carry.
@@ -190,7 +188,7 @@ mod tests {
                 samples: 3,
             }
         );
-        assert!(summary.to_string().contains("28 counters"));
+        assert!(summary.to_string().contains("26 counters"));
     }
 
     #[test]

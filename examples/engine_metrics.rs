@@ -14,7 +14,7 @@
 
 use nocomm::decision::{ObliviousAlgorithm, SingleThresholdAlgorithm};
 use nocomm::rational::Rational;
-use nocomm::simulator::{sweep_threshold_with_metrics, EngineMetrics, Simulation};
+use nocomm::simulator::{sweep_threshold_with_engine, EngineMetrics, Simulation};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -41,8 +41,9 @@ fn main() {
         sim.run_with_crashes(&threshold, 1.0, 0.25)
     );
 
-    let sweep = sweep_threshold_with_metrics(3, 1.0, 16, 20_000, 7, metrics.clone())
-        .expect("valid sweep parameters");
+    let sweep_engine = Simulation::new(20_000, 7).with_metrics(metrics.clone());
+    let sweep =
+        sweep_threshold_with_engine(&sweep_engine, 3, 1.0, 16).expect("valid sweep parameters");
     println!("  sweep              : {} grid points", sweep.len());
 
     let snap = metrics.snapshot();
