@@ -29,11 +29,16 @@
 //! it records: lane ≥ 4x the baseline at n = 8, and metrics within
 //! 2% of the uninstrumented lane path.
 //!
-//! Every mode also prints an ungated **Threefry ceiling**: the time of
-//! one `threefry4x64_lanes::<16>` call with all 64 output words folded
-//! into the result (so no unused lane can be optimized away), and each
-//! `lane` row's Threefry share — calls per trial × ceiling ÷ ns/trial.
-//! It adds no JSON row, so `bench-check` is unaffected.
+//! Every mode also prints each `lane` row's ungated **Threefry
+//! share**: the time of the row's Threefry work alone over the time of
+//! the row. The Threefry side (the *ceiling*) makes as many
+//! `threefry4x64_lanes::<16>` calls as the row's run does, with all 64
+//! output words of each call folded into the result (so no unused lane
+//! can be optimized away), and is timed paired with the row, in
+//! alternating order within each sample like every other pair: a
+//! ceiling measured once per run drifts with the machine's load and
+//! can read more than 100% of a row measured at another moment. It
+//! adds no JSON row, so `bench-check` is unaffected.
 
 use bench::{write_bench_json, PairedTiming};
 use criterion::black_box;
@@ -153,7 +158,7 @@ fn run_dyn_batch(rule: &dyn LocalRule, params: BaselineParams, batch: u64) -> (u
 }
 
 /// One timed invocation.
-fn time_once(routine: &mut impl FnMut() -> SimulationReport) -> f64 {
+fn time_once<T>(routine: &mut impl FnMut() -> T) -> f64 {
     let start = Instant::now();
     black_box(routine());
     start.elapsed().as_nanos() as f64
@@ -166,10 +171,10 @@ fn time_once(routine: &mut impl FnMut() -> SimulationReport) -> f64 {
 /// min-time speedup, the least-noise estimate for CPU-bound work
 /// since each side's fastest sample is the one least disturbed by
 /// scheduling and cache interference.
-fn paired_min_ns(
+fn paired_min_ns<A, B>(
     samples: usize,
-    mut base: impl FnMut() -> SimulationReport,
-    mut opt: impl FnMut() -> SimulationReport,
+    mut base: impl FnMut() -> A,
+    mut opt: impl FnMut() -> B,
 ) -> (f64, f64) {
     let mut base_min = f64::INFINITY;
     let mut opt_min = f64::INFINITY;
@@ -189,33 +194,41 @@ fn paired_min_ns(
     (base_min, opt_min)
 }
 
-/// The Threefry-only ceiling: the minimum over `samples` of the mean
-/// ns per `threefry4x64_lanes::<16>` call across `calls` calls on
-/// advancing counters, every output word folded into one value.
-fn threefry_ceiling_ns(calls: u64, samples: usize) -> f64 {
-    let key = CounterKey::from_seed(42);
-    let mut best = f64::INFINITY;
-    for _ in 0..samples {
-        let start = Instant::now();
-        // Lanewise folds, as the kernel consumes words: a single
-        // serial xor chain would add 64 dependent steps per call.
-        let mut fold = [0u64; LANES];
-        let mut ctr = [[0u64; LANES]; 4];
-        for call in 0..calls {
-            for (j, trial) in ctr[1].iter_mut().enumerate() {
-                *trial = call * LANES as u64 + j as u64;
-            }
-            let out = threefry4x64_lanes::<LANES>(&key, black_box(&ctr));
-            for words in &out {
-                for (acc, word) in fold.iter_mut().zip(words) {
-                    *acc ^= word;
-                }
+/// The Threefry-only ceiling: `calls` `threefry4x64_lanes::<16>`
+/// calls on advancing counters, every output word folded into the
+/// returned lanes.
+fn threefry_ceiling(key: &CounterKey, calls: u64) -> [u64; LANES] {
+    // Lanewise folds, as the kernel consumes words: a single serial
+    // xor chain would add 64 dependent steps per call.
+    let mut fold = [0u64; LANES];
+    let mut ctr = [[0u64; LANES]; 4];
+    for call in 0..calls {
+        for (j, trial) in ctr[1].iter_mut().enumerate() {
+            *trial = call * LANES as u64 + j as u64;
+        }
+        let out = threefry4x64_lanes::<LANES>(key, black_box(&ctr));
+        for words in &out {
+            for (acc, word) in fold.iter_mut().zip(words) {
+                *acc ^= word;
             }
         }
-        black_box(fold);
-        best = best.min(start.elapsed().as_nanos() as f64 / calls as f64);
     }
-    best
+    fold
+}
+
+/// A lane row's Threefry share: the ceiling over the row's own number
+/// of Threefry calls (`calls_per_trial` × `trials`), timed paired with
+/// the row's run. Returns `(ceiling ns, lane ns)`, each the minimum
+/// over `samples`.
+fn threefry_share(
+    samples: usize,
+    trials: u64,
+    calls_per_trial: f64,
+    lane: impl FnMut() -> SimulationReport,
+) -> (f64, f64) {
+    let key = CounterKey::from_seed(42);
+    let calls = (calls_per_trial * trials as f64).round() as u64;
+    paired_min_ns(samples, || threefry_ceiling(&key, calls), lane)
 }
 
 fn trials_per_sec(trials: u64, ns: f64) -> f64 {
@@ -267,11 +280,11 @@ fn main() {
 
     let mut timings = Vec::new();
     let mut metrics_ratios: Vec<(usize, f64)> = Vec::new();
-    // `(label, Threefry calls per trial, lane ns)` per lane row: one
-    // call per eight players (two draws per word) per plane per 16
-    // trials; thresholds read
-    // the input plane only, oblivious rules the coin plane as well.
-    let mut lane_rows: Vec<(String, f64, f64)> = Vec::new();
+    // `(label, Threefry calls per trial, ceiling ns, lane ns)` per
+    // lane row: one call per eight players (two draws per word) per
+    // plane per 16 trials; thresholds read the input plane only,
+    // oblivious rules the coin plane as well.
+    let mut lane_rows: Vec<(String, f64, f64, f64)> = Vec::new();
     for n in SIZES {
         let threshold = SingleThresholdAlgorithm::symmetric(n, Rational::ratio(622, 1000))
             .expect("valid symmetric thresholds");
@@ -313,10 +326,15 @@ fn main() {
             cold_ns: dyn_ns,
             memoized_ns: lane_ns,
         });
+        let calls_per_trial = n.div_ceil(8) as f64 / LANES as f64;
+        let (ceiling_ns, share_lane_ns) = threefry_share(samples, trials, calls_per_trial, || {
+            sim.run(&threshold, DELTA)
+        });
         lane_rows.push((
             format!("threshold n = {n} · lane"),
-            n.div_ceil(8) as f64 / LANES as f64,
-            lane_ns,
+            calls_per_trial,
+            ceiling_ns,
+            share_lane_ns,
         ));
         // The instrumented lane path: same engine, a live
         // EngineMetrics sink attached. Flushes are per batch, so this
@@ -354,10 +372,15 @@ fn main() {
             cold_ns: dyn_ns,
             memoized_ns: lane_ns,
         });
+        let calls_per_trial = 2.0 * n.div_ceil(8) as f64 / LANES as f64;
+        let (ceiling_ns, share_lane_ns) = threefry_share(samples, trials, calls_per_trial, || {
+            sim.run(&oblivious, DELTA)
+        });
         lane_rows.push((
             format!("oblivious n = {n} · lane"),
-            2.0 * n.div_ceil(8) as f64 / LANES as f64,
-            lane_ns,
+            calls_per_trial,
+            ceiling_ns,
+            share_lane_ns,
         ));
         println!(
             "oblivious n = {n}: dyn {:>12.0}/s   lane {:>12.0}/s ({:.2}x)",
@@ -367,14 +390,24 @@ fn main() {
         );
     }
 
-    let ceiling = threefry_ceiling_ns(trials / 4, samples);
-    println!("threefry ceiling: {ceiling:.1} ns per {LANES}-lane call, all 64 words folded");
-    for (label, calls_per_trial, lane_ns) in &lane_rows {
+    // Each row's ceiling is timed with that row; the headline is the
+    // fastest per-call figure among them.
+    let per_call =
+        |calls_per_trial: f64, ceiling_ns: f64| ceiling_ns / (calls_per_trial * trials as f64);
+    let ceiling = lane_rows
+        .iter()
+        .map(|(_, calls_per_trial, ceiling_ns, _)| per_call(*calls_per_trial, *ceiling_ns))
+        .fold(f64::INFINITY, f64::min);
+    println!(
+        "threefry ceiling: {ceiling:.1} ns per {LANES}-lane call, all 64 words folded, timed paired with each lane row"
+    );
+    for (label, calls_per_trial, ceiling_ns, lane_ns) in &lane_rows {
         let per_trial = lane_ns / trials as f64;
-        let threefry = calls_per_trial * ceiling;
+        let threefry = ceiling_ns / trials as f64;
         println!(
-            "  {label}: threefry {threefry:.2} of {per_trial:.2} ns/trial ({:.0}%)",
-            100.0 * threefry / per_trial
+            "  {label}: threefry {threefry:.2} of {per_trial:.2} ns/trial ({:.0}%), ceiling {:.1} ns per call",
+            100.0 * threefry / per_trial,
+            per_call(*calls_per_trial, *ceiling_ns),
         );
     }
 

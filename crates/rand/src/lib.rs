@@ -155,42 +155,37 @@ pub mod counter {
         }
     }
 
-    /// Adds subkey `s` of the key schedule into the state, lanewise.
+    /// Adds subkey `s` of the key schedule into one block's state.
     /// Called with literal `s`, so the `% 5` schedule indexing folds
     /// to constants — which requires inlining into each call site;
     /// a mere `#[inline]` hint leaves that to codegen's discretion.
     #[allow(clippy::inline_always)]
     #[inline(always)]
-    fn inject<const L: usize>(w: [&mut [u64; L]; 4], ks: &[u64; 5], s: usize) {
-        let [w0, w1, w2, w3] = w;
-        let (k0, k1, k2, k3) = (ks[s % 5], ks[(s + 1) % 5], ks[(s + 2) % 5], ks[(s + 3) % 5]);
-        for j in 0..L {
-            w0[j] = w0[j].wrapping_add(k0);
-            w1[j] = w1[j].wrapping_add(k1);
-            w2[j] = w2[j].wrapping_add(k2);
-            w3[j] = w3[j].wrapping_add(k3).wrapping_add(s as u64);
-        }
+    fn inject(x: &mut [u64; 4], ks: &[u64; 5], s: usize) {
+        x[0] = x[0].wrapping_add(ks[s % 5]);
+        x[1] = x[1].wrapping_add(ks[(s + 1) % 5]);
+        x[2] = x[2].wrapping_add(ks[(s + 2) % 5]);
+        x[3] = x[3].wrapping_add(ks[(s + 3) % 5]).wrapping_add(s as u64);
     }
 
     /// One Threefry-4×64 block per lane, `L` independent lanes at a
     /// time: `ctr[w][j]` is counter word `w` of lane `j`, and the
     /// return value holds the four output words of each lane in the
-    /// same layout.
+    /// same layout. Lane `j` is exactly [`threefry4x64`] of lane `j`'s
+    /// counter column, so the output bits are identical for every `L`.
     ///
-    /// Every operation is an elementwise add/rotate/xor across the
-    /// lane arrays with **literal** rotation amounts: the twelve
-    /// rounds are unrolled below (two at a time, so the standard
-    /// `(x1, x3)` word permutation between rounds becomes static
-    /// operand renaming instead of data movement), which keeps the
-    /// whole state in vector registers once the compiler vectorizes
-    /// the lane loops. The ladder realizes exactly the loop
-    /// `for d in 0..ROUNDS { mix with ROT_01[d % 8] / ROT_23[d % 8];
-    /// permute; inject every 4th round }` — the round-constant tables
-    /// stay the source of truth and a unit test cross-checks the
-    /// ladder against a table-driven evaluation. The output bits are
-    /// identical for every `L` (lane `j` depends only on its own
-    /// counter column), which [`threefry4x64`] and the simulator's
-    /// lane-invariance property tests pin down.
+    /// The loop runs over lanes and the whole twelve-round ladder is
+    /// its body. That shape is what makes the ladder vectorize
+    /// cleanly at every register width: the body is too large to be
+    /// unrolled across lanes, so the compiler's loop vectorizer
+    /// widens each scalar add, rotate and xor into one whole-register
+    /// op over as many lanes as a register holds (8 at 512 bits, 4 at
+    /// 256), and lays several registers side by side when `L` is
+    /// larger. A lane-inner shape (one short loop over lanes per mix)
+    /// is unrolled first and left to the superword vectorizer, which
+    /// at 512 bits stitched the ladder together from `xmm`/`ymm`
+    /// fragments with cross-register shuffles whenever a fold was
+    /// fused after it.
     ///
     /// Always inlined: the lane kernel consumes the returned block
     /// word by word, so inlining lets the block stay in registers
@@ -204,45 +199,14 @@ pub mod counter {
         key: &CounterKey,
         ctr: &[[u64; L]; 4],
     ) -> [[u64; L]; 4] {
-        /// One mix: `a += b; b = rotl(b, R) ^ a`, lanewise.
-        macro_rules! mix {
-            ($a:ident, $b:ident, $r:literal) => {
-                for j in 0..L {
-                    $a[j] = $a[j].wrapping_add($b[j]);
-                    $b[j] = $b[j].rotate_left($r) ^ $a[j];
-                }
-            };
+        let mut out = [[0; L]; 4];
+        for j in 0..L {
+            let block = threefry4x64(key, [ctr[0][j], ctr[1][j], ctr[2][j], ctr[3][j]]);
+            for (word, value) in out.iter_mut().zip(block) {
+                word[j] = value;
+            }
         }
-        /// Four rounds with the `(x1, x3)` permutation applied
-        /// statically: even rounds mix `(x0, x1)`/`(x2, x3)`, odd
-        /// rounds `(x0, x3)`/`(x2, x1)`.
-        macro_rules! four_rounds {
-            ($w0:ident $w1:ident $w2:ident $w3:ident,
-             $r0:literal $s0:literal $r1:literal $s1:literal
-             $r2:literal $s2:literal $r3:literal $s3:literal) => {
-                mix!($w0, $w1, $r0);
-                mix!($w2, $w3, $s0);
-                mix!($w0, $w3, $r1);
-                mix!($w2, $w1, $s1);
-                mix!($w0, $w1, $r2);
-                mix!($w2, $w3, $s2);
-                mix!($w0, $w3, $r3);
-                mix!($w2, $w1, $s3);
-            };
-        }
-        let ks = key.ks;
-        let [mut w0, mut w1, mut w2, mut w3] = *ctr;
-        inject([&mut w0, &mut w1, &mut w2, &mut w3], &ks, 0);
-        // Rounds 0–3 (rotation-table rows 0–3).
-        four_rounds!(w0 w1 w2 w3, 14 16 52 57 23 40 5 37);
-        inject([&mut w0, &mut w1, &mut w2, &mut w3], &ks, 1);
-        // Rounds 4–7 (rows 4–7).
-        four_rounds!(w0 w1 w2 w3, 25 33 46 12 58 22 32 32);
-        inject([&mut w0, &mut w1, &mut w2, &mut w3], &ks, 2);
-        // Rounds 8–11 (the tables repeat every eight rounds).
-        four_rounds!(w0 w1 w2 w3, 14 16 52 57 23 40 5 37);
-        inject([&mut w0, &mut w1, &mut w2, &mut w3], &ks, 3);
-        [w0, w1, w2, w3]
+        out
     }
 
     /// Table-driven reference evaluation of the same bijection, used
@@ -273,15 +237,63 @@ pub mod counter {
         x
     }
 
-    /// The scalar convenience form: one counter, one output block.
-    /// Defined as the `L = 1` instantiation of
-    /// [`threefry4x64_lanes`], so scalar replay (checkpoint resume,
-    /// `load_stats`) and the lane kernel share one bijection by
-    /// construction.
+    /// One Threefry-4×64 block: the keyed bijection of one counter.
+    ///
+    /// Every operation is a scalar add/rotate/xor with a **literal**
+    /// rotation amount: the twelve rounds are unrolled below (four at
+    /// a time, so the standard `(x1, x3)` word permutation between
+    /// rounds becomes static operand renaming instead of data
+    /// movement). The ladder realizes exactly the loop
+    /// `for d in 0..ROUNDS { mix with ROT_01[d % 8] / ROT_23[d % 8];
+    /// permute; inject every 4th round }` — the round-constant tables
+    /// stay the source of truth and a unit test cross-checks the
+    /// ladder against a table-driven evaluation. Scalar replay
+    /// (checkpoint resume, `load_stats`) calls it directly, and
+    /// [`threefry4x64_lanes`] calls it once per lane, so both share
+    /// one bijection by construction.
+    ///
+    /// Always inlined, so the lane loop that calls it sees the whole
+    /// ladder as its body.
+    #[allow(clippy::inline_always)]
+    #[inline(always)]
     #[must_use]
     pub fn threefry4x64(key: &CounterKey, ctr: [u64; 4]) -> [u64; 4] {
-        let x = threefry4x64_lanes::<1>(key, &[[ctr[0]], [ctr[1]], [ctr[2]], [ctr[3]]]);
-        [x[0][0], x[1][0], x[2][0], x[3][0]]
+        /// One mix: `a += b; b = rotl(b, R) ^ a`.
+        macro_rules! mix {
+            ($x:ident, $a:literal, $b:literal, $r:literal) => {
+                $x[$a] = $x[$a].wrapping_add($x[$b]);
+                $x[$b] = $x[$b].rotate_left($r) ^ $x[$a];
+            };
+        }
+        /// Four rounds with the `(x1, x3)` permutation applied
+        /// statically: even rounds mix `(x0, x1)`/`(x2, x3)`, odd
+        /// rounds `(x0, x3)`/`(x2, x1)`.
+        macro_rules! four_rounds {
+            ($x:ident, $r0:literal $s0:literal $r1:literal $s1:literal
+             $r2:literal $s2:literal $r3:literal $s3:literal) => {
+                mix!($x, 0, 1, $r0);
+                mix!($x, 2, 3, $s0);
+                mix!($x, 0, 3, $r1);
+                mix!($x, 2, 1, $s1);
+                mix!($x, 0, 1, $r2);
+                mix!($x, 2, 3, $s2);
+                mix!($x, 0, 3, $r3);
+                mix!($x, 2, 1, $s3);
+            };
+        }
+        let ks = key.ks;
+        let mut x = ctr;
+        inject(&mut x, &ks, 0);
+        // Rounds 0–3 (rotation-table rows 0–3).
+        four_rounds!(x, 14 16 52 57 23 40 5 37);
+        inject(&mut x, &ks, 1);
+        // Rounds 4–7 (rows 4–7).
+        four_rounds!(x, 25 33 46 12 58 22 32 32);
+        inject(&mut x, &ks, 2);
+        // Rounds 8–11 (the tables repeat every eight rounds).
+        four_rounds!(x, 14 16 52 57 23 40 5 37);
+        inject(&mut x, &ks, 3);
+        x
     }
 
     /// Float bits of `1.0`: exponent `0x3ff`, zero mantissa.
@@ -560,10 +572,14 @@ mod counter_tests {
                 }
             }
         }
+        // Widths 3 and 12 are not multiples of a 512-bit register's
+        // eight lanes, so the vectorized lane loop runs its remainder.
         let key = CounterKey::from_seed(7);
         check::<1>(&key);
+        check::<3>(&key);
         check::<4>(&key);
         check::<8>(&key);
+        check::<12>(&key);
         check::<16>(&key);
     }
 

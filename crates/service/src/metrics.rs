@@ -9,7 +9,7 @@
 
 use crate::query::MetricsFrame;
 use obs::{Histogram, HistogramSnapshot};
-use simulator::{EngineMetrics, MetricsSnapshot};
+use simulator::{keys, EngineMetrics, MetricsSnapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -74,16 +74,17 @@ impl ServiceMetrics {
     }
 
     /// The request-facing counter frame carried by every response.
+    /// It reads only the two engine counters it carries, not a full
+    /// engine snapshot: every response pays for this call.
     #[must_use]
     pub fn frame(&self) -> MetricsFrame {
-        let engine = self.engine.snapshot();
         MetricsFrame {
             requests: self.requests.load(Ordering::Relaxed),
             inflight: self.inflight.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            sim_runs: engine.runs,
-            sim_batches: engine.batches,
+            sim_runs: self.engine.count(keys::RUNS),
+            sim_batches: self.engine.count(keys::BATCHES),
             batch_size: self.batch_size,
         }
     }
@@ -148,6 +149,12 @@ mod tests {
         let frame = metrics.frame();
         assert_eq!(frame.sim_runs, 1);
         assert!(frame.sim_batches >= 1);
-        assert_eq!(metrics.engine_snapshot().trials, 10_000);
+        let snapshot = metrics.engine_snapshot();
+        assert_eq!(snapshot.trials, 10_000);
+        // The frame's cheap reads agree with the full snapshot.
+        assert_eq!(
+            (frame.sim_runs, frame.sim_batches),
+            (snapshot.runs, snapshot.batches)
+        );
     }
 }

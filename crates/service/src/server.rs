@@ -525,11 +525,16 @@ const SWEEP_BUDGET_PLAYERS: u128 = 39;
 /// response per line, until EOF, a transport error, an oversized
 /// request, or shutdown.
 fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) {
+    // Each response goes out as soon as it is written. With Nagle's
+    // algorithm on, the second of two pipelined responses would wait
+    // for the client to acknowledge the first, and a client delays
+    // that acknowledgement by up to ~40 ms.
     // The poll timeout bounds how long an *idle* connection can delay
     // a drain; a request already being served always completes.
-    if stream
-        .set_read_timeout(Some(shared.config.poll_interval))
-        .is_err()
+    if stream.set_nodelay(true).is_err()
+        || stream
+            .set_read_timeout(Some(shared.config.poll_interval))
+            .is_err()
     {
         return;
     }

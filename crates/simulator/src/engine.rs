@@ -53,7 +53,7 @@
 //!   so common random numbers across rules and fault rates hold as
 //!   before. Every draw moved, so every estimate for a given seed
 //!   changed.
-//! * **v7** (current): draws exactly v6's; the lane loop decides and
+//! * **v7**: draws exactly v6's; the lane loop decides and
 //!   sums on each draw's lattice integer `v = 2h + 1` (the draw is
 //!   `v·2⁻³³`, [`rand::counter::half_to_lattice`]) instead of on its
 //!   `f64`. Thresholds, coin probabilities, the crash rate and `δ`
@@ -61,6 +61,12 @@
 //!   every comparison keeps its strictness, so every decision and
 //!   every win equals v6's (see `run_lane_batch`). Opaque rules still
 //!   see the same `f64` draws.
+//! * **v8** (current): draws and wins exactly v7's. The Threefry
+//!   ladder runs lane-outer — one loop over lanes whose body is the
+//!   scalar twelve-round block ([`rand::counter::threefry4x64_lanes`])
+//!   — so it vectorizes into whole registers at 256 and at 512 bits,
+//!   and the fold keeps bin 0's sum and the trial's total load, with
+//!   bin 1 read as `total − sum0` (the same `u64` value v7 summed).
 //!
 //! Consequently, same-version estimates are bit-for-bit reproducible
 //! across thread counts, batch schedules, pool reuse, lane widths and
@@ -106,9 +112,9 @@ use std::time::Duration;
 
 /// Version of the per-batch RNG stream shape. Bumped whenever a
 /// stream-critical function changes, even when no draw moves; the
-/// engine module's source docs keep the history (v7: v6's draws,
-/// decided and summed on their lattice integers).
-pub const RNG_STREAM_VERSION: u32 = 7;
+/// engine module's source docs keep the history (v8: v7's draws and
+/// wins, with a lane-outer Threefry ladder and a running-total fold).
+pub const RNG_STREAM_VERSION: u32 = 8;
 
 /// Default trials per batch; shared with the instrumented
 /// [`load_stats`](crate::load_stats) loop so its stream stays
@@ -128,11 +134,13 @@ const MAX_BATCH_ATTEMPTS: u32 = 3;
 
 /// Trials the lane kernel advances per inner-loop step. Every width
 /// produces bit-identical estimates (trial outcomes are pure
-/// functions of their own counters), so this is pure compute shape:
-/// two vector registers of lanes per Threefry word give the round
-/// ladder's serial add–rotate–xor chains a second independent
-/// instruction stream to overlap, while the block being consumed
-/// still fits in the vector register file.
+/// functions of their own counters), so this is pure compute shape.
+/// Sixteen `u64` lanes are two 512-bit registers (or four 256-bit
+/// ones) per Threefry word: the vectorized ladder runs two (four)
+/// independent add–rotate–xor chains side by side, and the block
+/// being folded plus the two per-lane sums still fit in the vector
+/// register file. Thirty-two lanes measured about 40% slower per
+/// trial at 512 bits (EXPERIMENTS.md, "Wide-vector lane kernel").
 const LANES: usize = 16;
 
 /// A deterministic, thread-parallel Monte-Carlo estimator of the
@@ -975,7 +983,10 @@ pub(crate) fn lane_key(seed: u64) -> CounterKey {
 /// sums are at most `⌊δ·2³³⌋` (no trial wins when `δ < 0`). The fold
 /// is branch-free per player: the crash outcome selects the player's
 /// load (`v` or `0`), the decision selects that load or `0` into bin
-/// 0, and bin 1 gets the rest, all in `u64` lanes. The selects are
+/// 0's sum, and the load goes into the trial's running total, all in
+/// `u64` lanes. Bin 1's sum is read once per trial as `total − sum0`:
+/// the same integer as summing bin 1's loads (no sum can wrap — each
+/// is below `n·2³³`), one lane op per player cheaper. The selects are
 /// [`select_unpredictable`]: a `0`/`!0` mask AND is the same
 /// arithmetic, but the compiler folds it back into a plain select
 /// and, on the opaque path where the decision comes out of a call,
@@ -1020,7 +1031,7 @@ fn run_lane_batch<K: Kernel, const L: usize>(
             *trial = trial0 + j as u64;
         }
         let mut sum0 = [0u64; L];
-        let mut sum1 = [0u64; L];
+        let mut total = [0u64; L];
         for k in 0..blocks {
             let plane = |kind: DrawKind| [((kind as u64) << KIND_SHIFT) | k as u64; L];
             ctr[2] = plane(DrawKind::Input);
@@ -1055,7 +1066,7 @@ fn run_lane_batch<K: Kernel, const L: usize>(
                                 0,
                             );
                             sum0[j] += zero;
-                            sum1[j] += load - zero;
+                            total[j] += load;
                         }
                     }
                 }
@@ -1075,7 +1086,7 @@ fn run_lane_batch<K: Kernel, const L: usize>(
                                 0,
                             );
                             sum0[j] += zero;
-                            sum1[j] += input - zero;
+                            total[j] += input;
                         }
                     }
                 }
@@ -1084,7 +1095,7 @@ fn run_lane_batch<K: Kernel, const L: usize>(
         if let Some(capacity) = params.capacity {
             let live_lanes = usize::try_from(count - trial0).unwrap_or(L).min(L);
             for j in 0..live_lanes {
-                wins += u64::from(sum0[j] <= capacity && sum1[j] <= capacity);
+                wins += u64::from(sum0[j] <= capacity && total[j] - sum0[j] <= capacity);
             }
         }
         trial0 += L as u64;
@@ -1121,9 +1132,9 @@ mod tests {
     #[test]
     fn stream_version_is_pinned() {
         // Bump deliberately (with the module-docs history updated)
-        // whenever a stream-critical fn changes (v7: v6's draws,
-        // decided and summed on their lattice integers).
-        assert_eq!(RNG_STREAM_VERSION, 7);
+        // whenever a stream-critical fn changes (v8: v7's draws and
+        // wins, with a lane-outer ladder and a running-total fold).
+        assert_eq!(RNG_STREAM_VERSION, 8);
     }
 
     #[test]
@@ -1351,12 +1362,16 @@ mod tests {
         wins
     }
 
-    /// The lane wins of `params` at widths 1, 8 and `LANES` (the
+    /// The lane wins of `params` at widths 1, 8, 12 and `LANES` (the
     /// engine's), each checked batch by batch against the replay.
+    /// Width 8 is one 512-bit register per word; width 12 is not a
+    /// multiple of that register's eight lanes, so the vectorized
+    /// ladder runs its remainder loop too.
     fn lane_wins<K: Kernel>(kernel: &K, decide: Decide<'_>, params: TrialParams) -> u64 {
         let wins = check::<K, LANES>(kernel, decide, params);
         assert_eq!(check::<K, 1>(kernel, decide, params), wins);
         assert_eq!(check::<K, 8>(kernel, decide, params), wins);
+        assert_eq!(check::<K, 12>(kernel, decide, params), wins);
         wins
     }
 
@@ -1365,12 +1380,14 @@ mod tests {
         // The fused lane loop — blocks consumed in registers, integer
         // selects instead of branches, two draws per word — must count
         // exactly the wins of the f64 scalar replay at every width
-        // (W1 and W8 against the engine's W16), for both hinted
+        // (W1, W8 and W12 against the engine's W16), for both hinted
         // kernels and the opaque fallback, with and without crashes.
-        // The player counts cover an unused low half (5, 7, 9, 17), a
-        // full block (8, 16) and the first players of a second or
-        // third block (9, 17); 237 trials in batches of 160 leave a
-        // 77-trial tail batch, a multiple of neither 8 nor 16.
+        // The player counts cover small systems like those served
+        // `simulate` requests ask for (2, 3, 4, 5, 8), an unused low half
+        // (3, 5, 7, 9, 17), a full block (8, 16) and the first
+        // players of a second or third block (9, 17); 237 trials in
+        // batches of 160 leave a 77-trial tail batch, a multiple of
+        // none of the widths.
         fn all_widths<K: Kernel>(kernel: &K, decide: Decide<'_>, params: TrialParams) {
             let wins = lane_wins(kernel, decide, params);
             // Neither all nor nothing: the comparison has teeth.
@@ -1382,7 +1399,7 @@ mod tests {
             (Rational::ratio(3, 4), Rational::one()),
         ])
         .unwrap();
-        for n in [5usize, 7, 8, 9, 16, 17] {
+        for n in [2usize, 3, 4, 5, 7, 8, 9, 16, 17] {
             // Per-player parameters that differ, so a player read
             // from the wrong slot changes decisions.
             let spread = |lo: f64, step: f64| -> Vec<f64> {

@@ -215,6 +215,15 @@ impl EngineMetrics {
         }
     }
 
+    /// The current value of counter `key` (relaxed read of one cell),
+    /// or `0` for a key the engine does not emit. Cheaper than
+    /// [`EngineMetrics::snapshot`] when a caller needs a counter or
+    /// two: it copies no other cell and allocates nothing.
+    #[must_use]
+    pub fn count(&self, key: &str) -> u64 {
+        self.counter(key).map_or(0, Counter::get)
+    }
+
     /// The counter cell behind `key`, if the engine emits it.
     fn counter(&self, key: &str) -> Option<&Counter> {
         Some(match key {
@@ -452,6 +461,8 @@ mod tests {
         assert_eq!(snap.trials, 100);
         assert_eq!(snap.wins, 40);
         assert_eq!(snap.runs, 0);
+        assert_eq!(m.count(keys::TRIALS), 100);
+        assert_eq!(m.count("not.a.key"), 0);
     }
 
     #[test]
@@ -474,8 +485,10 @@ mod tests {
         for (key, _) in &listed {
             m.add(key, 1);
         }
-        // ...and the snapshot reflects each increment exactly once.
+        // ...and the snapshot, like a single-cell read, reflects each
+        // increment exactly once.
         assert!(m.snapshot().counters().iter().all(|(_, v)| *v == 1));
+        assert!(listed.iter().all(|(key, _)| m.count(key) == 1));
         assert_eq!(listed.len(), 26);
     }
 

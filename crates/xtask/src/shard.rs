@@ -322,7 +322,7 @@ mod tests {
         let path = crate::repo_root().join("results/shard_smoke.json");
         if let Ok(text) = std::fs::read_to_string(path) {
             let summary = validate_shard_document(&text).expect("committed artifact");
-            assert_eq!(summary.rng_stream_version, 7);
+            assert_eq!(summary.rng_stream_version, 8);
             assert!(summary.reissued >= summary.shards);
         }
     }

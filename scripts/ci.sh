@@ -69,11 +69,14 @@ echo "==> chaos smoke (chaos_smoke + chaos-check)"
 # Thread-level fault tolerance end to end: a seeded fault schedule
 # (worker deaths, failed batches) must leave the results bit-identical
 # and the recovery ledger nonzero. The fresh report and the committed
-# artifact must both satisfy the chaos-smoke checker.
+# artifact must both satisfy the chaos-smoke checker, and the report
+# is deterministic, so the fresh one must equal the committed one
+# byte for byte.
 chaos_out="${TMPDIR:-/tmp}/chaos_smoke.ci.json"
 cargo run --release --quiet --example chaos_smoke -- --out "$chaos_out"
 cargo run --package xtask --quiet -- chaos-check "$chaos_out"
 cargo run --package xtask --quiet -- chaos-check results/chaos_smoke.json
+cmp "$chaos_out" results/chaos_smoke.json
 rm -f "$chaos_out"
 
 echo "==> shard smoke (nocomm-shard + shard-check)"
@@ -81,8 +84,9 @@ echo "==> shard smoke (nocomm-shard + shard-check)"
 # chaos-injected (kill + stall + corrupt) multi-process sweep must
 # both merge byte-identically to the single-process baseline, and the
 # shard-smoke/v1 report must satisfy the checker — as must the
-# committed artifact. The build is paid untimed; the smoke itself
-# must finish within 10s.
+# committed artifact, which the deterministic fresh report must equal
+# byte for byte. The build is paid untimed; the smoke itself must
+# finish within 10s.
 cargo build --release --quiet --package orchestrator --bin nocomm-shard
 shard_out="${TMPDIR:-/tmp}/shard_smoke.ci.json"
 start=$(date +%s)
@@ -95,6 +99,7 @@ if [ "$elapsed" -ge 10 ]; then
 fi
 cargo run --package xtask --quiet -- shard-check "$shard_out"
 cargo run --package xtask --quiet -- shard-check results/shard_smoke.json
+cmp "$shard_out" results/shard_smoke.json
 rm -f "$shard_out"
 
 echo "==> service smoke (daemon round trip)"
